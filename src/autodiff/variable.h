@@ -5,10 +5,11 @@
 // gradient into its parents. Calling ad::backward(loss) on a scalar Var
 // runs the closures in reverse topological order.
 //
-// The same tape is used twice by MeshfreeFlowNet: once for ordinary
-// training gradients, and once *through* the forward-mode coordinate
-// derivative computation of the continuous decoder (the equation loss), so
-// second-order "gradients of derivatives" come out of plain reverse mode.
+// MeshfreeFlowNet's training tape holds ordinary ops plus one fused node
+// for the continuous decoder's derivative bundle (core/decode_jet.h): the
+// forward-mode coordinate derivatives of the equation loss are computed
+// inside that node, and its hand-written backward supplies the
+// "gradients of derivatives" that reverse mode needs from it.
 #pragma once
 
 #include <cstdint>

@@ -1,0 +1,109 @@
+// The decoder's derivative bundle as one fused tape node.
+//
+// The PDE equation loss needs, at every query point, the decoded value and
+// its first (t, z, x) and second (zz, xx) coordinate derivatives. They are
+// exact when a jet — the value, three tangents and two curvatures — is
+// carried through the decoder MLP in forward mode and the 8 corner jets are
+// blended with the trilinear weights and their coordinate derivatives.
+//
+// decode_jet() runs that computation as ONE autodiff node with a
+// hand-written backward. Forward, per fixed block of kBlockQueries queries
+// (8 corner rows each):
+//
+//   gather      [coords | latent] rows and the w / dw blend tables
+//   layer 0     the value GEMM only: the tangent of stream k is column k of
+//               W0 and the curvatures are zero, so the seeds fold away
+//   layer l>0   one GEMM over the six streams stacked row-wise
+//   hidden act  one SIMD pass: h = f(z), t = f' tau, c = f'' tau^2 + f' kappa
+//   blend       value = sum w y, d/dk = sum dw_k y + w t_k,
+//               d2/dk2 = sum 2 dw_k t_k + w c_k
+//
+// Backward, per block, over the per-block intermediates the forward saved:
+// the blend adjoint, then per layer one stacked weight-gradient GEMM, one
+// input-gradient GEMM and one fused activation pass
+//
+//   zbar       = f' hbar + f'' (sum_k tau_k tbar_k + sum_m kappa_m cbar_m)
+//                + f''' sum_m tau_m^2 cbar_m
+//   taubar_k   = f' tbar_k  (+ 2 f'' tau_k cbar_k for k in {z, x})
+//   kappabar_m = f' cbar_m
+//
+// where f', f'', f''' are taken at the pre-activation z. Layer 0's
+// tangent-column gradients are column sums. Per-block weight gradients are
+// reduced in block order and the latent gradient is scatter-added per
+// sample in query order, so every output and gradient is bit-identical at
+// every MFN_NUM_THREADS.
+//
+// DecodePlan::execute_derivatives (the serving derivative replay) runs the
+// same forward over its prepacked weights.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "autodiff/variable.h"
+#include "nn/mlp.h"
+#include "tensor/tensor.h"
+
+namespace mfn::core {
+
+/// Clamp a query coordinate into the valid cell range of an axis with
+/// `size` grid points and split it into (base corner, fraction). Double
+/// precision, so every decode path derives bitwise identical corner rows
+/// and blend weights from the same coordinate.
+inline std::pair<std::int64_t, double> cellof(float v, std::int64_t size) {
+  const double c = std::min(std::max(static_cast<double>(v), 0.0),
+                            static_cast<double>(size - 1));
+  auto base = static_cast<std::int64_t>(std::floor(c));
+  base = std::min(base, size - 2);
+  return {base, c - static_cast<double>(base)};
+}
+
+namespace jet {
+
+/// Queries per work block. Blocks are carved from the global query range,
+/// never from parallel_for chunks, which keeps every result independent of
+/// the pool size.
+inline constexpr std::int64_t kBlockQueries = 64;
+
+/// One decoder MLP layer as the jet kernels read it.
+struct Layer {
+  std::int64_t in = 0, out = 0;
+  const float* weight = nullptr;  // dense (out, in)
+  const float* bias = nullptr;    // out entries, or null
+  const float* packed = nullptr;  // sgemm_prepack_b panels, or null
+};
+
+/// The latent grid and query layout of one decode.
+struct Grid {
+  const float* latent = nullptr;  // (n, c, lt, lz, lx)
+  std::int64_t n = 0, q = 0;      // latent samples, queries per sample
+  std::int64_t c = 0, lt = 0, lz = 0, lx = 0;
+};
+
+/// Bundle members in output order.
+enum Member : int { kValue, kDt, kDz, kDx, kDzz, kDxx, kMembers };
+
+/// Forward jet decode of all n*q queries, no tape. `coords` holds (n*q, 3)
+/// continuous grid indices; outs[m] receives member m as (n*q, out)
+/// row-major. Layers with prepacked panels run sgemm_prepacked_nt, the
+/// others sgemm.
+void forward(const Grid& grid, const float* coords,
+             const std::vector<Layer>& layers, nn::Activation act,
+             const std::array<float*, kMembers>& outs);
+
+}  // namespace jet
+
+/// The derivative-bundle tape node. Decodes `mlp` at the (n*q, 3) query
+/// coordinates against `latent` (n, c, lt, lz, lx) and returns a
+/// (6 * n*q, out) Var whose rows [m * n*q, (m+1) * n*q) hold member m of
+/// (value, d/dt, d/dz, d/dx, d2/dz2, d2/dx2), all per LR index unit. Its
+/// backward produces the gradients of the latent and of every MLP weight
+/// and bias. Coordinates must be finite (the caller validates them).
+ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
+                   std::int64_t q, const nn::MLP& mlp);
+
+}  // namespace mfn::core

@@ -1,7 +1,6 @@
 #include "core/decode_plan.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "backend/sgemm.h"
 #include "backend/workspace.h"
@@ -17,28 +16,12 @@ namespace {
 // ContinuousDecoder::decode_streamed — the block size fixes the GEMM row
 // counts, so it is part of the bitwise-parity contract, not a tunable.
 constexpr std::int64_t kBlockQueries = 256;
-// The derivative replay carries 6 streams x 2 banks, so it runs smaller
-// blocks to keep the arena slice L2-resident. Tolerance-compared, so this
-// one IS a tunable.
-constexpr std::int64_t kDerivBlock = 64;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-// Clamp a query coordinate into the valid cell range and split it into
-// (base corner, fraction). Byte-for-byte the math of make_corners'
-// `cellof` — double precision, floor, base clamp — so planned gather rows
-// and blend weights are bitwise identical to the tape geometry.
-inline std::pair<std::int64_t, double> cellof(float v, std::int64_t size) {
-  double c = std::min(std::max(static_cast<double>(v), 0.0),
-                      static_cast<double>(size - 1));
-  auto base = static_cast<std::int64_t>(std::floor(c));
-  base = std::min(base, size - 2);
-  return {base, c - static_cast<double>(base)};
 }
 
 }  // namespace
@@ -232,16 +215,11 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   plan->off_final_ = cur;
   plan->nblocks_ = (plan->b_total_ + kBlockQueries - 1) / kBlockQueries;
 
-  // Derivative arena: 6 streams x 2 banks + the 4 geometry tables.
-  const std::int64_t dbank = 8 * kDerivBlock * wmax;
-  for (int s = 0; s < 6; ++s) {
-    plan->doff_stream_[s][0] = (2 * s) * dbank;
-    plan->doff_stream_[s][1] = (2 * s + 1) * dbank;
-  }
-  plan->doff_w_ = 12 * dbank;
-  plan->deriv_arena_floats_ =
-      static_cast<std::size_t>(12 * dbank + 4 * 8 * kDerivBlock);
-  plan->dnblocks_ = (plan->b_total_ + kDerivBlock - 1) / kDerivBlock;
+  for (const auto& layer : layers)
+    plan->jet_layers_.push_back(
+        {layer.in, layer.out, layer.weight.data(),
+         layer.bias.empty() ? nullptr : layer.bias.data(),
+         layer.packed.data()});
   return plan;
 }
 
@@ -350,209 +328,19 @@ PlannedDerivs DecodePlan::execute_derivatives(
     const Tensor& latent, const Tensor& query_coords) const {
   check_inputs(latent, query_coords);
   PlannedDerivs out;
-  for (Tensor* t : {&out.value, &out.d_dt, &out.d_dz, &out.d_dx,
-                    &out.d2_dz2, &out.d2_dx2})
-    *t = Tensor::uninitialized(Shape{b_total_, out_ch_});
-  const float* pl = latent.data();
-  const float* pq = query_coords.data();
-  parallel_for(
-      dnblocks_,
-      [&](std::int64_t blk0, std::int64_t blk1) {
-        backend::Workspace& ws = backend::local_workspace();
-        const backend::Workspace::Mark m = ws.mark();
-        float* arena = ws.alloc(deriv_arena_floats_);
-        for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-          const std::int64_t q0 = blk * kDerivBlock;
-          const std::int64_t q1 = std::min(q0 + kDerivBlock, b_total_);
-          run_deriv_block(pl, pq, out, q0, q1, arena);
-        }
-        ws.release(m);
-      },
-      /*grain=*/1);
+  Tensor* members[jet::kMembers] = {&out.value, &out.d_dt,   &out.d_dz,
+                                    &out.d_dx,  &out.d2_dz2, &out.d2_dx2};
+  std::array<float*, jet::kMembers> outs{};
+  for (int m = 0; m < jet::kMembers; ++m) {
+    *members[m] = Tensor::uninitialized(Shape{b_total_, out_ch_});
+    outs[m] = members[m]->data();
+  }
+  const jet::Grid grid{latent.data(), key_.n,  key_.q,
+                       snap_->latent_channels(), key_.lt, key_.lz,
+                       key_.lx};
+  jet::forward(grid, query_coords.data(), jet_layers_, snap_->activation(),
+               outs);
   return out;
-}
-
-void DecodePlan::run_deriv_block(const float* latent, const float* coords,
-                                 const PlannedDerivs& out, std::int64_t q0,
-                                 std::int64_t q1, float* arena) const {
-  const std::int64_t nb = q1 - q0, rows = 8 * nb;
-  const std::int64_t C = snap_->latent_channels();
-  const auto& layers = snap_->layers();
-  const nn::Activation act = snap_->activation();
-
-  // Streams: 0 = value, 1..3 = d/dt,z,x tangents, 4 = z-curvature,
-  // 5 = x-curvature. Each ping-pongs between two banks per layer.
-  float* cur[6];
-  float* nxt[6];
-  for (int s = 0; s < 6; ++s) {
-    cur[s] = arena + doff_stream_[s][0];
-    nxt[s] = arena + doff_stream_[s][1];
-  }
-  float* wq = arena + doff_w_;
-  float* dwt = wq + 8 * kDerivBlock;
-  float* dwz = dwt + 8 * kDerivBlock;
-  float* dwx = dwz + 8 * kDerivBlock;
-
-  for (std::int64_t b = q0; b < q1; ++b) {
-    const std::int64_t n = b / key_.q;
-    const auto [t0, ft] = cellof(coords[b * 3 + 0], key_.lt);
-    const auto [z0, fz] = cellof(coords[b * 3 + 1], key_.lz);
-    const auto [x0, fx] = cellof(coords[b * 3 + 2], key_.lx);
-    const std::int64_t base0 =
-        n * C * slab_ + (t0 * key_.lz + z0) * key_.lx + x0;
-    for (int j = 0; j < 8; ++j) {
-      const int jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
-      const std::int64_t row = static_cast<std::int64_t>(j) * nb + (b - q0);
-      float* r = cur[0] + row * in0_;
-      r[0] = static_cast<float>(ft - jt);
-      r[1] = static_cast<float>(fz - jz);
-      r[2] = static_cast<float>(fx - jx);
-      const float* src = latent + base0 + corner_delta_[j];
-      for (std::int64_t c = 0; c < C; ++c) r[3 + c] = src[c * slab_];
-      const double wt = jt ? ft : 1.0 - ft;
-      const double wz = jz ? fz : 1.0 - fz;
-      const double wx = jx ? fx : 1.0 - fx;
-      const double dt = jt ? 1.0 : -1.0;
-      const double dz = jz ? 1.0 : -1.0;
-      const double dx = jx ? 1.0 : -1.0;
-      wq[row] = static_cast<float>(wt * wz * wx);
-      dwt[row] = static_cast<float>(dt * wz * wx);
-      dwz[row] = static_cast<float>(wt * dz * wx);
-      dwx[row] = static_cast<float>(wt * wz * dx);
-    }
-  }
-
-  // f(z), f'(z), f''(z) for the forward-mode chain rule.
-  auto act_eval = [act](float z, float& f1, float& f2) -> float {
-    switch (act) {
-      case nn::Activation::kSoftplus: {
-        const float s = 1.0f / (1.0f + std::exp(-z));
-        f1 = s;
-        f2 = s * (1.0f - s);
-        return std::max(z, 0.0f) + std::log1p(std::exp(-std::fabs(z)));
-      }
-      case nn::Activation::kTanh: {
-        const float th = std::tanh(z);
-        f1 = 1.0f - th * th;
-        f2 = -2.0f * th * f1;
-        return th;
-      }
-      case nn::Activation::kReLU: {
-        f1 = z > 0.0f ? 1.0f : 0.0f;
-        f2 = 0.0f;
-        return z > 0.0f ? z : 0.0f;
-      }
-    }
-    f1 = f2 = 0.0f;
-    return z;
-  };
-
-  std::int64_t win = in0_;
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    const PreparedSnapshot::Layer& layer = layers[li];
-    const bool first = li == 0;
-    const bool last = li + 1 == layers.size();
-    const std::int64_t span = rows * layer.out;
-    backend::sgemm_prepacked_nt(
-        rows, layer.out, win, cur[0], layer.weight.data(),
-        layer.packed.data(),
-        layer.bias.empty() ? nullptr : layer.bias.data(), nxt[0]);
-    if (!first) {
-      for (int s = 1; s < 6; ++s)
-        backend::sgemm_prepacked_nt(rows, layer.out, win, cur[s],
-                                    layer.weight.data(), layer.packed.data(),
-                                    nullptr, nxt[s]);
-    }
-    if (first) {
-      // The layer-1 tangent of stream k is the constant broadcast of
-      // weight column k (the seed is e_k and curvature seeds are zero), so
-      // the five seed GEMMs are constant-folded away.
-      const float* w = layer.weight.data();
-      if (last) {  // single-layer MLP: linear output, no activation
-        for (std::int64_t i = 0; i < span; ++i) {
-          const std::int64_t o = i % layer.out;
-          nxt[1][i] = w[o * win + 0];
-          nxt[2][i] = w[o * win + 1];
-          nxt[3][i] = w[o * win + 2];
-          nxt[4][i] = 0.0f;
-          nxt[5][i] = 0.0f;
-        }
-      } else {
-        for (std::int64_t i = 0; i < span; ++i) {
-          const std::int64_t o = i % layer.out;
-          float f1, f2;
-          const float hv = act_eval(nxt[0][i], f1, f2);
-          const float wt = w[o * win + 0];
-          const float wz = w[o * win + 1];
-          const float wx = w[o * win + 2];
-          nxt[4][i] = f2 * wz * wz;  // curvature starts at f'' t^2
-          nxt[5][i] = f2 * wx * wx;
-          nxt[1][i] = f1 * wt;
-          nxt[2][i] = f1 * wz;
-          nxt[3][i] = f1 * wx;
-          nxt[0][i] = hv;
-        }
-      }
-    } else if (!last) {
-      for (std::int64_t i = 0; i < span; ++i) {
-        float f1, f2;
-        const float hv = act_eval(nxt[0][i], f1, f2);
-        // curvature before tangents: c' = f'' t^2 + f' c uses the
-        // pre-activation tangents
-        nxt[4][i] = f2 * nxt[2][i] * nxt[2][i] + f1 * nxt[4][i];
-        nxt[5][i] = f2 * nxt[3][i] * nxt[3][i] + f1 * nxt[5][i];
-        nxt[1][i] *= f1;
-        nxt[2][i] *= f1;
-        nxt[3][i] *= f1;
-        nxt[0][i] = hv;
-      }
-    }
-    for (int s = 0; s < 6; ++s) std::swap(cur[s], nxt[s]);
-    win = layer.out;
-  }
-
-  // Blends (see decode_with_derivatives): value = sum w y; first
-  // derivatives add dw y + w t; second derivatives are 2 dw t + w c.
-  // Tensor copies are shallow; non-const handles expose the mutable
-  // storage the caller allocated for this bundle.
-  Tensor tv = out.value, tt = out.d_dt, tz = out.d_dz, tx = out.d_dx,
-         tzz = out.d2_dz2, txx = out.d2_dx2;
-  float* pv = tv.data();
-  float* pt = tt.data();
-  float* pz = tz.data();
-  float* px = tx.data();
-  float* pzz = tzz.data();
-  float* pxx = txx.data();
-  for (std::int64_t b = q0; b < q1; ++b) {
-    const std::int64_t o0 = b * out_ch_;
-    for (std::int64_t c = 0; c < out_ch_; ++c) {
-      pv[o0 + c] = 0.0f;
-      pt[o0 + c] = 0.0f;
-      pz[o0 + c] = 0.0f;
-      px[o0 + c] = 0.0f;
-      pzz[o0 + c] = 0.0f;
-      pxx[o0 + c] = 0.0f;
-    }
-    for (int j = 0; j < 8; ++j) {
-      const std::int64_t row = static_cast<std::int64_t>(j) * nb + (b - q0);
-      const float w = wq[row];
-      const float dt = dwt[row], dz = dwz[row], dx = dwx[row];
-      const float* h = cur[0] + row * out_ch_;
-      const float* tt = cur[1] + row * out_ch_;
-      const float* tz = cur[2] + row * out_ch_;
-      const float* tx = cur[3] + row * out_ch_;
-      const float* cz = cur[4] + row * out_ch_;
-      const float* cx = cur[5] + row * out_ch_;
-      for (std::int64_t c = 0; c < out_ch_; ++c) {
-        pv[o0 + c] += w * h[c];
-        pt[o0 + c] += dt * h[c] + w * tt[c];
-        pz[o0 + c] += dz * h[c] + w * tz[c];
-        px[o0 + c] += dx * h[c] + w * tx[c];
-        pzz[o0 + c] += 2.0f * dz * tz[c] + w * cz[c];
-        pxx[o0 + c] += 2.0f * dx * tx[c] + w * cx[c];
-      }
-    }
-  }
 }
 
 // ------------------------------------------------------------- PlanCache --

@@ -31,11 +31,9 @@
 //    across thread counts, but vs the tape only within documented error
 //    bounds.
 //
-// execute_derivatives() covers predict_with_derivatives the same way with
-// a fused forward-mode (value, tangent, curvature) stream — no tape, no
-// per-call tensors — agreeing with the tape bundle to float tolerance
-// (its fused update loops round differently than the tape's separate
-// kernels, so exact bit equality is not pinned there).
+// execute_derivatives() covers predict_with_derivatives by running the
+// derivative node's forward (core/decode_jet.h) over the prepacked
+// weights — no tape and no per-call tensors beyond the six outputs.
 //
 // Shapes the compiler cannot lower (a decoder layer wider than the
 // prepacked panel range) return nullptr from compile(); callers fall back
@@ -53,6 +51,7 @@
 #include <vector>
 
 #include "backend/plan.h"
+#include "core/decode_jet.h"
 #include "core/meshfree_flownet.h"
 #include "nn/mlp.h"
 #include "tensor/tensor.h"
@@ -143,8 +142,8 @@ class DecodePlan {
   Tensor execute(const Tensor& latent, const Tensor& query_coords) const;
 
   /// Replay with exact forward-mode coordinate derivatives (the
-  /// predict_with_derivatives bundle). Matches the tape bundle to float
-  /// tolerance.
+  /// predict_with_derivatives bundle): the derivative node's forward over
+  /// the prepacked weights.
   PlannedDerivs execute_derivatives(const Tensor& latent,
                                     const Tensor& query_coords) const;
 
@@ -157,9 +156,6 @@ class DecodePlan {
   void check_inputs(const Tensor& latent, const Tensor& query_coords) const;
   void run_block(const float* latent, const float* coords, float* out,
                  std::int64_t q0, std::int64_t q1, float* arena) const;
-  void run_deriv_block(const float* latent, const float* coords,
-                       const PlannedDerivs& out, std::int64_t q0,
-                       std::int64_t q1, float* arena) const;
 
   std::shared_ptr<const PreparedSnapshot> snap_;
   PlanKey key_;
@@ -177,12 +173,8 @@ class DecodePlan {
   std::int64_t off_w_ = 0;      // trilinear weights, 8 * kBlock
   std::int64_t nblocks_ = 0;
 
-  // Derivative replay: bank offsets for the 6 forward-mode streams
-  // (h, t0, t1, t2, cz, cx) x (A, B) plus the w/dw tables.
-  std::size_t deriv_arena_floats_ = 0;
-  std::int64_t doff_stream_[6][2] = {};
-  std::int64_t doff_w_ = 0;  // 4 tables of 8 * kDerivBlock (w, dwt, dwz, dwx)
-  std::int64_t dnblocks_ = 0;
+  // Derivative replay: the snapshot's layers with their prepacked panels.
+  std::vector<jet::Layer> jet_layers_;
 };
 
 /// Shape-keyed LRU of compiled plans, shared by the serving layer. Same

@@ -6,6 +6,7 @@
 
 #include "backend/sgemm.h"
 #include "common/error.h"
+#include "core/decode_jet.h"
 #include "tensor/tensor_ops.h"
 #include "threading/thread_pool.h"
 
@@ -33,13 +34,12 @@ struct ContinuousDecoder::CornerGeometry {
   std::int64_t B = 0;
   Tensor inputs_coords;                 // (8B, 3) relative coords
   std::vector<ad::VoxelIndex> voxels;   // (8B) gather indices
-  // trilinear weights and their coordinate derivatives, stacked
-  // corner-major like the MLP rows: entry j*B + b is corner j of query b.
-  Tensor w;                  // (8B, 1)
-  std::array<Tensor, 3> dw;  // dw[k] (8B, 1), k in {t,z,x}
+  // trilinear weights, stacked corner-major like the MLP rows: entry
+  // j*B + b is corner j of query b.
+  Tensor w;  // (8B, 1)
 };
 
-ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
+std::int64_t ContinuousDecoder::queries_per_sample(
     const ad::Var& latent, const Tensor& query_coords) const {
   MFN_CHECK(latent.value().ndim() == 5 && latent.dim(0) >= 1,
             "latent grid must be (N, C, LT, LZ, LX)");
@@ -63,20 +63,30 @@ ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
                              << N);
     Q = query_coords.dim(1);
   }
+  MFN_CHECK(latent.dim(2) >= 2 && latent.dim(3) >= 2 && latent.dim(4) >= 2,
+            "latent grid too small for trilinear cells");
+  // A NaN coordinate has no cell (flooring it to an index is undefined
+  // behaviour) and an infinite one is no point of the grid.
+  const float* pq = query_coords.data();
+  for (std::int64_t i = 0; i < query_coords.numel(); ++i)
+    MFN_CHECK(std::isfinite(pq[i]), "query coordinate "
+                                        << pq[i] << " of query " << i / 3
+                                        << " is not finite");
+  return Q;
+}
+
+ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
+    const ad::Var& latent, const Tensor& query_coords) const {
+  const std::int64_t Q = queries_per_sample(latent, query_coords);
   const std::int64_t LT = latent.dim(2), LZ = latent.dim(3),
                      LX = latent.dim(4);
-  MFN_CHECK(LT >= 2 && LZ >= 2 && LX >= 2,
-            "latent grid too small for trilinear cells");
-  const std::int64_t B = N * Q;  // total (sample, query) pairs
+  const std::int64_t B = latent.dim(0) * Q;  // total (sample, query) pairs
 
   CornerGeometry geo;
   geo.B = B;
   geo.inputs_coords = Tensor::uninitialized(Shape{8 * B, 3});
   geo.voxels.resize(static_cast<std::size_t>(8 * B));
   geo.w = Tensor::uninitialized(Shape{8 * B, 1});
-  for (int k = 0; k < 3; ++k)
-    geo.dw[static_cast<std::size_t>(k)] =
-        Tensor::uninitialized(Shape{8 * B, 1});
 
   // Both layouts store query b of sample s contiguously at flat row
   // b = s*Q + q, so the fill reads q[b * 3 + k] either way. Each row is
@@ -87,15 +97,6 @@ ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t b = begin; b < end; ++b) {
           const std::int64_t n = b / Q;  // owning latent sample
-          // clamp into the valid cell range, pick the base corner
-          auto cellof = [](float v, std::int64_t size) {
-            double c = std::min(std::max(static_cast<double>(v), 0.0),
-                                static_cast<double>(size - 1));
-            auto base = static_cast<std::int64_t>(std::floor(c));
-            base = std::min(base, size - 2);
-            return std::pair<std::int64_t, double>(
-                base, c - static_cast<double>(base));
-          };
           const auto [t0, ft] = cellof(q[b * 3 + 0], LT);
           const auto [z0, fz] = cellof(q[b * 3 + 1], LZ);
           const auto [x0, fx] = cellof(q[b * 3 + 2], LX);
@@ -113,18 +114,11 @@ ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
                 static_cast<float>(fx - jx);
             geo.voxels[static_cast<std::size_t>(row)] = {n, t0 + jt, z0 + jz,
                                                          x0 + jx};
-            // per-axis hat weights and their derivatives w.r.t. the
-            // coordinate
+            // per-axis hat weights
             const double wt = jt ? ft : 1.0 - ft;
             const double wz = jz ? fz : 1.0 - fz;
             const double wx = jx ? fx : 1.0 - fx;
-            const double dwt = jt ? 1.0 : -1.0;
-            const double dwz = jz ? 1.0 : -1.0;
-            const double dwx = jx ? 1.0 : -1.0;
             geo.w.data()[row] = static_cast<float>(wt * wz * wx);
-            geo.dw[0].data()[row] = static_cast<float>(dwt * wz * wx);
-            geo.dw[1].data()[row] = static_cast<float>(wt * dwz * wx);
-            geo.dw[2].data()[row] = static_cast<float>(wt * wz * dwx);
           }
         }
       },
@@ -258,99 +252,15 @@ Tensor ContinuousDecoder::decode_streamed(const Tensor& latent,
 
 DecodeDerivs ContinuousDecoder::decode_with_derivatives(
     const ad::Var& latent, const Tensor& query_coords) {
-  CornerGeometry geo = make_corners(latent, query_coords);
-  const std::int64_t B = geo.B;
-  const std::int64_t in_dim = 3 + config_.latent_channels;
-
-  // --- forward-mode streams through the MLP ---
-  // value stream input: fused [coords | gathered latents], (8B, 3 + C)
-  ad::Var h = ad::gather_voxels_concat(geo.inputs_coords, latent,
-                                       geo.voxels);
-
-  // tangent seeds: d(input)/d(coord k) = e_k on the coordinate columns
-  std::array<ad::Var, 3> tan;
-  for (int k = 0; k < 3; ++k) {
-    Tensor seed = Tensor::zeros(Shape{8 * B, in_dim});
-    float* p = seed.data();
-    for (std::int64_t r = 0; r < 8 * B; ++r) p[r * in_dim + k] = 1.0f;
-    tan[static_cast<std::size_t>(k)] = ad::Var(seed, false);
-  }
-  // curvature seeds are zero (inputs are affine in the coordinates);
-  // track only z and x (the PDE needs those Laplacian terms)
-  std::array<ad::Var, 2> curv;  // [0] = z, [1] = x
-  for (int k = 0; k < 2; ++k)
-    curv[static_cast<std::size_t>(k)] =
-        ad::Var(Tensor::zeros(Shape{8 * B, in_dim}), false);
-
-  const auto& layers = mlp_->layers();
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    nn::Linear& fc = *layers[li];
-    // affine: value gets W,b; tangents/curvatures get W only
-    ad::Var z = fc.forward(h);
-    for (auto& t : tan) t = ad::linear(t, fc.weight(), ad::Var());
-    for (auto& c : curv) c = ad::linear(c, fc.weight(), ad::Var());
-
-    if (li + 1 == layers.size()) {
-      h = z;
-      break;  // linear output layer
-    }
-    // smooth nonlinearity: h = f(z); t' = f'(z) t; c' = f''(z) t^2 + f'(z) c
-    ad::Var f1, f2;  // f'(z), f''(z)
-    switch (mlp_->activation()) {
-      case nn::Activation::kSoftplus: {
-        ad::Var s = ad::sigmoid(z);
-        f1 = s;
-        f2 = ad::mul(s, ad::add_scalar(ad::neg(s), 1.0f));  // s(1-s)
-        h = ad::softplus(z);
-        break;
-      }
-      case nn::Activation::kTanh: {
-        ad::Var th = ad::tanh(z);
-        f1 = ad::add_scalar(ad::neg(ad::square(th)), 1.0f);  // 1 - th^2
-        f2 = ad::mul_scalar(ad::mul(th, f1), -2.0f);         // -2 th (1-th^2)
-        h = th;
-        break;
-      }
-      case nn::Activation::kReLU: {
-        // supported for ablation: f'' == 0 kills the diffusive terms
-        ad::Var mask(mfn::gt_zero_mask(z.value()), false);
-        f1 = mask;
-        f2 = ad::Var(Tensor::zeros(z.shape()), false);
-        h = ad::relu(z);
-        break;
-      }
-    }
-    // curvature first (needs the pre-update tangents)
-    curv[0] = ad::add(ad::mul(f2, ad::square(tan[1])),
-                      ad::mul(f1, curv[0]));  // z-coordinate
-    curv[1] = ad::add(ad::mul(f2, ad::square(tan[2])),
-                      ad::mul(f1, curv[1]));  // x-coordinate
-    for (auto& t : tan) t = ad::mul(f1, t);
-  }
-
-  // --- trilinear blend with weight derivatives ---
-  // value:   sum_j w_j y_j
-  // d/dk:    sum_j (dw_j/dk) y_j + w_j (dy_j/dk)
-  // d2/dk2:  sum_j 2 (dw_j/dk)(dy_j/dk) + w_j (d2y_j/dk2)   [d2w/dk2 = 0]
-  // Each sum over the 8 corners is one fused blend_corners kernel.
-  ad::Var w(geo.w, false);
-  ad::Var dwt(geo.dw[0], false), dwz(geo.dw[1], false),
-      dwx(geo.dw[2], false);
-  DecodeDerivs out;
-  out.value = ad::blend_corners(h, w);
-  out.d_dt = ad::add(ad::blend_corners(h, dwt),
-                     ad::blend_corners(tan[0], w));
-  out.d_dz = ad::add(ad::blend_corners(h, dwz),
-                     ad::blend_corners(tan[1], w));
-  out.d_dx = ad::add(ad::blend_corners(h, dwx),
-                     ad::blend_corners(tan[2], w));
-  out.d2_dz2 =
-      ad::add(ad::mul_scalar(ad::blend_corners(tan[1], dwz), 2.0f),
-              ad::blend_corners(curv[0], w));
-  out.d2_dx2 =
-      ad::add(ad::mul_scalar(ad::blend_corners(tan[2], dwx), 2.0f),
-              ad::blend_corners(curv[1], w));
-  return out;
+  const std::int64_t q = queries_per_sample(latent, query_coords);
+  const std::int64_t B = latent.dim(0) * q;
+  // One fused node; the six members are row slices of its output.
+  const ad::Var bundle = decode_jet(latent, query_coords, q, *mlp_);
+  auto member = [&](std::int64_t m) {
+    return ad::slice_rows(bundle, m * B, (m + 1) * B);
+  };
+  return DecodeDerivs{member(0), member(1), member(2),
+                      member(3), member(4), member(5)};
 }
 
 }  // namespace mfn::core

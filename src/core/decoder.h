@@ -8,10 +8,11 @@
 //
 // Because Phi is smooth (softplus), the spatio-temporal derivatives of the
 // output needed by the PDE equation loss are computed *exactly* by
-// forward-mode propagation of (value, tangent, curvature) triples through
-// the MLP — and because that propagation is itself built from tape ops,
-// reverse-mode through it yields the parameter gradients of the equation
-// loss (the paper's "backpropagation through the derivative computation").
+// forward-mode propagation of (value, tangent, curvature) jets through the
+// MLP. decode_with_derivatives() runs that propagation as one fused tape
+// node (core/decode_jet.h) whose hand-written backward yields the latent
+// and parameter gradients of the equation loss (the paper's
+// "backpropagation through the derivative computation").
 //
 // Derivative conventions: query coordinates are continuous LR-grid indices
 // (t, z, x); all derivatives returned here are per index unit. Conversion
@@ -60,7 +61,9 @@ class ContinuousDecoder : public nn::Module {
   ad::Var decode(const ad::Var& latent, const Tensor& query_coords);
 
   /// Decode with forward-mode first and second coordinate derivatives.
-  /// Accepts the same batched/unbatched query layouts as decode().
+  /// Accepts the same batched/unbatched query layouts as decode(). The
+  /// bundle is one tape node (core/decode_jet.h) and the six members are
+  /// row slices of its output.
   DecodeDerivs decode_with_derivatives(const ad::Var& latent,
                                        const Tensor& query_coords);
 
@@ -68,7 +71,12 @@ class ContinuousDecoder : public nn::Module {
   nn::MLP& mlp() { return *mlp_; }
 
  private:
-  /// Per-batch corner geometry shared by both decode paths.
+  /// Validates a decode's latent and query layouts and that every query
+  /// coordinate is finite; returns the queries per latent sample.
+  std::int64_t queries_per_sample(const ad::Var& latent,
+                                  const Tensor& query_coords) const;
+
+  /// Corner geometry of the value decode.
   struct CornerGeometry;
   CornerGeometry make_corners(const ad::Var& latent,
                               const Tensor& query_coords) const;

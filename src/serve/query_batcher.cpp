@@ -1,6 +1,7 @@
 #include "serve/query_batcher.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "autodiff/variable.h"
@@ -95,6 +96,14 @@ std::future<Tensor> QueryBatcher::submit(
   MFN_CHECK(coords.defined() && coords.ndim() == 2 && coords.dim(1) == 3 &&
                 coords.dim(0) >= 1,
             "coords must be (Q, 3) with Q >= 1");
+  // A non-finite coordinate has no grid cell. Rejecting it here, per
+  // request and before coalescing, keeps one bad request from failing the
+  // others in its flush.
+  const float* pc = coords.data();
+  for (std::int64_t i = 0; i < coords.numel(); ++i)
+    MFN_CHECK(std::isfinite(pc[i]), "query coordinate "
+                                        << pc[i] << " of query " << i / 3
+                                        << " is not finite");
   Request req;
   req.precision = precision.value_or(snapshot->decode_precision);
   req.snapshot = std::move(snapshot);

@@ -261,6 +261,8 @@ class QueryBatcher {
   /// for this request; requests at different (effective) tiers never
   /// share a decode unit. `tenant` routes the request into its fair-share
   /// sub-queue (single-model callers leave it at the default tenant 0).
+  /// Malformed shapes and non-finite coordinates throw mfn::Error here,
+  /// before the request reaches the queue.
   std::future<Tensor> submit(
       std::shared_ptr<const ModelSnapshot> snapshot, Tensor latent,
       Tensor coords,

@@ -1,0 +1,333 @@
+// The fused derivative-bundle node (src/core/decode_jet.*) against the tape
+// composition it replaced, which lives on here as the reference: the
+// values, the five derivatives and the gradients of the latent and of every
+// MLP weight and bias, for softplus, tanh and ReLU over several widths and
+// query shapes; bitwise equality of a serial and a pooled run; a warmed
+// step that never reaches the heap; and rejection of non-finite
+// coordinates.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <future>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "autodiff/ops.h"
+#include "backend/workspace.h"
+#include "common/error.h"
+#include "core/decode_jet.h"
+#include "core/decoder.h"
+#include "tensor/tensor_ops.h"
+#include "threading/thread_pool.h"
+
+namespace mfn {
+namespace {
+
+using core::ContinuousDecoder;
+using core::DecodeDerivs;
+
+// Real concurrency even on single-core hosts (runs before the first
+// ThreadPool::global() touch). An explicit MFN_NUM_THREADS wins.
+const bool kForcePool = [] {
+  setenv("MFN_NUM_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
+
+// Latent width 5 makes layer 0's input (3 + 5) ragged on every vector tier.
+constexpr std::int64_t kC = 5, kOut = 4, kLT = 4, kLZ = 8, kLX = 8;
+
+core::DecoderConfig decoder_config(nn::Activation act,
+                                   std::vector<std::int64_t> hidden) {
+  core::DecoderConfig cfg;
+  cfg.latent_channels = kC;
+  cfg.out_channels = kOut;
+  cfg.hidden = std::move(hidden);
+  cfg.activation = act;
+  return cfg;
+}
+
+// (n, q, 3) coordinates over the grid, including the clamped margins past
+// either end of each axis.
+Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q) {
+  Tensor c = Tensor::uninitialized(Shape{n, q, 3});
+  for (std::int64_t b = 0; b < n * q; ++b) {
+    c.data()[b * 3 + 0] = static_cast<float>(rng.uniform(-0.5, kLT - 0.5));
+    c.data()[b * 3 + 1] = static_cast<float>(rng.uniform(-0.5, kLZ - 0.5));
+    c.data()[b * 3 + 2] = static_cast<float>(rng.uniform(-0.5, kLX - 0.5));
+  }
+  return c;
+}
+
+// ------------------------------------------------------- tape reference --
+// The derivative bundle composed from tape ops: forward-mode (value,
+// tangent, curvature) streams through ad::linear and elementwise ops,
+// blended by ad::blend_corners. `coords` holds n*q rows of 3.
+DecodeDerivs tape_bundle(nn::MLP& mlp, const ad::Var& latent,
+                         const Tensor& coords, std::int64_t q) {
+  const std::int64_t B = latent.dim(0) * q, in_dim = mlp.in_features();
+  const std::int64_t LT = latent.dim(2), LZ = latent.dim(3),
+                     LX = latent.dim(4);
+  // Corner-major geometry: row j * B + b is corner j of query b.
+  Tensor rel = Tensor::uninitialized(Shape{8 * B, 3});
+  std::vector<ad::VoxelIndex> voxels(static_cast<std::size_t>(8 * B));
+  Tensor w = Tensor::uninitialized(Shape{8 * B, 1});
+  std::array<Tensor, 3> dw;
+  for (Tensor& t : dw) t = Tensor::uninitialized(Shape{8 * B, 1});
+  for (std::int64_t b = 0; b < B; ++b) {
+    const auto [t0, ft] = core::cellof(coords.data()[b * 3 + 0], LT);
+    const auto [z0, fz] = core::cellof(coords.data()[b * 3 + 1], LZ);
+    const auto [x0, fx] = core::cellof(coords.data()[b * 3 + 2], LX);
+    for (int j = 0; j < 8; ++j) {
+      const int jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
+      const std::int64_t row = j * B + b;
+      rel.data()[row * 3 + 0] = static_cast<float>(ft - jt);
+      rel.data()[row * 3 + 1] = static_cast<float>(fz - jz);
+      rel.data()[row * 3 + 2] = static_cast<float>(fx - jx);
+      voxels[static_cast<std::size_t>(row)] = {b / q, t0 + jt, z0 + jz,
+                                               x0 + jx};
+      const double wt = jt ? ft : 1.0 - ft, wz = jz ? fz : 1.0 - fz,
+                   wx = jx ? fx : 1.0 - fx;
+      const double st = jt ? 1.0 : -1.0, sz = jz ? 1.0 : -1.0,
+                   sx = jx ? 1.0 : -1.0;
+      w.data()[row] = static_cast<float>(wt * wz * wx);
+      dw[0].data()[row] = static_cast<float>(st * wz * wx);
+      dw[1].data()[row] = static_cast<float>(wt * sz * wx);
+      dw[2].data()[row] = static_cast<float>(wt * wz * sx);
+    }
+  }
+
+  ad::Var h = ad::gather_voxels_concat(rel, latent, voxels);
+  // Tangent seeds e_k on the coordinate columns; zero curvature seeds.
+  std::array<ad::Var, 3> tan;
+  for (int k = 0; k < 3; ++k) {
+    Tensor seed = Tensor::zeros(Shape{8 * B, in_dim});
+    for (std::int64_t r = 0; r < 8 * B; ++r)
+      seed.data()[r * in_dim + k] = 1.0f;
+    tan[static_cast<std::size_t>(k)] = ad::Var(seed, false);
+  }
+  std::array<ad::Var, 2> curv;  // z, x
+  for (ad::Var& c : curv)
+    c = ad::Var(Tensor::zeros(Shape{8 * B, in_dim}), false);
+  const auto& layers = mlp.layers();
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    nn::Linear& fc = *layers[li];
+    ad::Var z = fc.forward(h);
+    for (ad::Var& t : tan) t = ad::linear(t, fc.weight(), ad::Var());
+    for (ad::Var& c : curv) c = ad::linear(c, fc.weight(), ad::Var());
+    if (li + 1 == layers.size()) {
+      h = z;
+      break;
+    }
+    ad::Var f1, f2;  // f'(z), f''(z)
+    switch (mlp.activation()) {
+      case nn::Activation::kSoftplus: {
+        ad::Var s = ad::sigmoid(z);
+        f1 = s;
+        f2 = ad::mul(s, ad::add_scalar(ad::neg(s), 1.0f));
+        h = ad::softplus(z);
+        break;
+      }
+      case nn::Activation::kTanh: {
+        ad::Var th = ad::tanh(z);
+        f1 = ad::add_scalar(ad::neg(ad::square(th)), 1.0f);
+        f2 = ad::mul_scalar(ad::mul(th, f1), -2.0f);
+        h = th;
+        break;
+      }
+      case nn::Activation::kReLU:
+        f1 = ad::Var(gt_zero_mask(z.value()), false);
+        f2 = ad::Var(Tensor::zeros(z.shape()), false);
+        h = ad::relu(z);
+        break;
+    }
+    // Curvature first: it needs the pre-activation tangents.
+    curv[0] = ad::add(ad::mul(f2, ad::square(tan[1])), ad::mul(f1, curv[0]));
+    curv[1] = ad::add(ad::mul(f2, ad::square(tan[2])), ad::mul(f1, curv[1]));
+    for (ad::Var& t : tan) t = ad::mul(f1, t);
+  }
+  const ad::Var vw(w, false), vt(dw[0], false), vz(dw[1], false),
+      vx(dw[2], false);
+  DecodeDerivs d;
+  d.value = ad::blend_corners(h, vw);
+  d.d_dt = ad::add(ad::blend_corners(h, vt), ad::blend_corners(tan[0], vw));
+  d.d_dz = ad::add(ad::blend_corners(h, vz), ad::blend_corners(tan[1], vw));
+  d.d_dx = ad::add(ad::blend_corners(h, vx), ad::blend_corners(tan[2], vw));
+  d.d2_dz2 = ad::add(ad::mul_scalar(ad::blend_corners(tan[1], vz), 2.0f),
+                     ad::blend_corners(curv[0], vw));
+  d.d2_dx2 = ad::add(ad::mul_scalar(ad::blend_corners(tan[2], vx), 2.0f),
+                     ad::blend_corners(curv[1], vw));
+  return d;
+}
+
+// One loss that reads all six members: sum over m of <member_m, r_m>.
+ad::Var bundle_loss(const DecodeDerivs& d, const std::array<Tensor, 6>& r) {
+  const std::array<const ad::Var*, 6> members = {
+      &d.value, &d.d_dt, &d.d_dz, &d.d_dx, &d.d2_dz2, &d.d2_dx2};
+  ad::Var loss;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const ad::Var term = ad::sum(ad::mul(*members[m], ad::Var(r[m], false)));
+    loss = m == 0 ? term : ad::add(loss, term);
+  }
+  return loss;
+}
+
+std::array<Tensor, 6> loss_weights(Rng& rng, std::int64_t rows) {
+  std::array<Tensor, 6> r;
+  for (Tensor& t : r) t = Tensor::randn(Shape{rows, kOut}, rng);
+  return r;
+}
+
+struct BundleRun {
+  std::vector<Tensor> members;  // the six bundle members
+  std::vector<Tensor> grads;    // the latent's, then every MLP parameter's
+};
+
+// Decodes the bundle with the fused node or the tape reference,
+// backpropagates bundle_loss and collects the members and gradients.
+BundleRun run_bundle(ContinuousDecoder& dec, ad::Var& latent, const Tensor& coords,
+               const std::array<Tensor, 6>& r, bool fused) {
+  const std::vector<ad::Var*> params = dec.parameters();
+  for (ad::Var* p : params) p->zero_grad();
+  latent.zero_grad();
+  const DecodeDerivs d =
+      fused ? dec.decode_with_derivatives(latent, coords)
+            : tape_bundle(dec.mlp(), latent, coords, coords.dim(1));
+  ad::backward(bundle_loss(d, r));
+  BundleRun run;
+  for (const ad::Var* m :
+       {&d.value, &d.d_dt, &d.d_dz, &d.d_dx, &d.d2_dz2, &d.d2_dx2})
+    run.members.push_back(m->value());
+  run.grads.push_back(latent.grad().clone());
+  for (const ad::Var* p : params) run.grads.push_back(p->grad().clone());
+  return run;
+}
+
+// max |got - want| over max |want|: the error relative to the largest entry.
+double rel_err(const Tensor& got, const Tensor& want) {
+  EXPECT_EQ(got.numel(), want.numel());
+  double err = 0.0, scale = 0.0;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    const double w = want.data()[i];
+    err = std::max(err, std::abs(static_cast<double>(got.data()[i]) - w));
+    scale = std::max(scale, std::abs(w));
+  }
+  return scale > 0.0 ? err / scale : err;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+TEST(DecodeJet, MatchesTapeReference) {
+  const std::vector<std::vector<std::int64_t>> widths = {
+      {8}, {16, 16}, {32, 32}};
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {1, 1}, {3, 257}, {4, 384}};
+  double worst_member = 0.0, worst_grad = 0.0;
+  std::uint64_t seed = 100;
+  for (nn::Activation act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
+                             nn::Activation::kReLU})
+    for (const auto& hidden : widths)
+      for (const auto& [n, q] : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "activation " << static_cast<int>(act) << ", hidden "
+                     << hidden.size() << " x " << hidden.front() << ", n "
+                     << n << ", q " << q);
+        Rng rng(++seed);
+        ContinuousDecoder dec(decoder_config(act, hidden), rng);
+        ad::Var latent(Tensor::randn(Shape{n, kC, kLT, kLZ, kLX}, rng, 0.5f),
+                       true);
+        const Tensor coords = make_coords(rng, n, q);
+        const std::array<Tensor, 6> r = loss_weights(rng, n * q);
+        const BundleRun got = run_bundle(dec, latent, coords, r, true);
+        const BundleRun want = run_bundle(dec, latent, coords, r, false);
+        for (std::size_t m = 0; m < want.members.size(); ++m) {
+          const double e = rel_err(got.members[m], want.members[m]);
+          worst_member = std::max(worst_member, e);
+          EXPECT_LT(e, 1e-5) << "member " << m;
+        }
+        for (std::size_t i = 0; i < want.grads.size(); ++i) {
+          const double e = rel_err(got.grads[i], want.grads[i]);
+          worst_grad = std::max(worst_grad, e);
+          EXPECT_LT(e, 1e-4) << (i == 0 ? "latent" : "parameter")
+                             << " gradient " << i;
+        }
+      }
+  std::printf("largest error relative to the largest entry: members %.3g, "
+              "gradients %.3g\n",
+              worst_member, worst_grad);
+}
+
+// A nested parallel_for runs serially, so a run inside a pool worker is a
+// 1-thread pool; the pooled run fans its blocks out over the pool.
+TEST(DecodeJet, SerialRunInPoolWorkerIsBitwisePooledRun) {
+  ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  for (nn::Activation act :
+       {nn::Activation::kSoftplus, nn::Activation::kTanh}) {
+    Rng rng(7);
+    ContinuousDecoder dec(decoder_config(act, {32, 32}), rng);
+    ad::Var latent(Tensor::randn(Shape{4, kC, kLT, kLZ, kLX}, rng, 0.5f),
+                   true);
+    const Tensor coords = make_coords(rng, 4, 384);
+    const std::array<Tensor, 6> r = loss_weights(rng, 4 * 384);
+
+    std::promise<BundleRun> serial_out;
+    std::future<BundleRun> fut = serial_out.get_future();
+    ThreadPool::global().submit([&] {
+      serial_out.set_value(run_bundle(dec, latent, coords, r, true));
+    });
+    const BundleRun serial = fut.get();
+    const BundleRun pooled = run_bundle(dec, latent, coords, r, true);
+    for (std::size_t m = 0; m < serial.members.size(); ++m)
+      EXPECT_TRUE(bitwise_equal(serial.members[m], pooled.members[m]))
+          << "member " << m;
+    for (std::size_t i = 0; i < serial.grads.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(serial.grads[i], pooled.grads[i]))
+          << "gradient " << i;
+  }
+}
+
+TEST(DecodeJet, WarmedForwardAndBackwardStayOffTheHeap) {
+  Rng rng(8);
+  ContinuousDecoder dec(
+      decoder_config(nn::Activation::kSoftplus, {32, 32}), rng);
+  ad::Var latent(Tensor::randn(Shape{4, kC, kLT, kLZ, kLX}, rng, 0.5f),
+                 true);
+  const Tensor coords = make_coords(rng, 4, 384);
+  const std::array<Tensor, 6> r = loss_weights(rng, 4 * 384);
+  for (int i = 0; i < 3; ++i) (void)run_bundle(dec, latent, coords, r, true);
+  auto& alloc = backend::CachingAllocator::instance();
+  const auto before = alloc.stats();
+  (void)run_bundle(dec, latent, coords, r, true);
+  const auto after = alloc.stats();
+  EXPECT_GT(after.allocs, before.allocs);
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs)
+      << "a warmed forward and backward must be served from the "
+         "allocator's cache";
+}
+
+TEST(DecodeJet, NonFiniteCoordinatesAreRejected) {
+  Rng rng(9);
+  ContinuousDecoder dec(decoder_config(nn::Activation::kSoftplus, {8}), rng);
+  ad::Var latent(Tensor::randn(Shape{1, kC, kLT, kLZ, kLX}, rng, 0.5f), true);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    Tensor coords = make_coords(rng, 1, 9);
+    coords.data()[4 * 3 + 1] = bad;
+    EXPECT_THROW(dec.decode_with_derivatives(latent, coords), Error);
+    EXPECT_THROW(dec.decode(latent, coords), Error);
+    ad::NoGradGuard no_grad;
+    EXPECT_THROW(dec.decode(latent, coords), Error);
+  }
+}
+
+}  // namespace
+}  // namespace mfn

@@ -189,9 +189,8 @@ TEST(DecodePlan, DerivativeReplayMatchesTapeBundle) {
   const core::DecodeDerivs want =
       model->decoder().decode_with_derivatives(lv, coords);
 
-  // The fused forward-mode stream rounds differently than the tape's
-  // separate kernels (and uses libm transcendentals), so this bundle is
-  // tolerance-pinned, not bitwise.
+  // The plan replays the derivative node's forward over its snapshot's
+  // own prepacked weights; the bundle is pinned within tolerance.
   EXPECT_LT(max_abs_diff(got.value, want.value.value()), 2e-4);
   EXPECT_LT(max_abs_diff(got.d_dt, want.d_dt.value()), 2e-4);
   EXPECT_LT(max_abs_diff(got.d_dz, want.d_dz.value()), 2e-4);

@@ -203,7 +203,7 @@ TEST_P(QuantizedParity, ReplayBitIdenticalAcrossThreadCounts) {
 
 TEST_P(QuantizedParity, DerivativeBundleFallsBackToFp32) {
   // execute_derivatives always runs the fp32 forward-mode stream — a
-  // reduced-precision plan's derivative bundle must match the tape bundle
+  // reduced-precision plan's derivative bundle must match the decoder's
   // exactly as tightly as an fp32 plan's.
   const backend::Precision prec = GetParam();
   auto model = make_model(341);

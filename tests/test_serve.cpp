@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -185,6 +186,30 @@ TEST(QueryBatcher, CoalescedBatchMatchesIndividualDecodes) {
   const auto cs = engine.cache_stats();
   EXPECT_EQ(cs.misses, 1u);
   EXPECT_EQ(cs.hits, static_cast<std::uint64_t>(kReqs - 1));
+}
+
+TEST(QueryBatcher, NonFiniteCoordinatesFailOnlyTheirRequest) {
+  auto model = make_model(13);
+  core::MeshfreeFlowNet* raw = model.get();
+  Rng rng(14);
+  const Tensor patch = make_patch(rng);
+  // A long batching window: the valid request is still queued while the
+  // bad ones arrive, so without the per-request check they would share
+  // its flush.
+  serve::InferenceEngineConfig ecfg;
+  ecfg.batcher.max_wait_us = 200000;
+  serve::InferenceEngine engine(std::move(model), ecfg);
+  const Tensor good = make_coords(rng, 32);
+  std::future<Tensor> fut = engine.query(7, patch, good);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    Tensor coords = make_coords(rng, 32);
+    coords.data()[5 * 3 + 2] = bad;
+    EXPECT_THROW(engine.query(7, patch, coords), mfn::Error);
+  }
+  const Tensor got = fut.get();
+  EXPECT_LT(max_abs_diff(got, direct_predict(*raw, patch, good)), 2e-5);
+  EXPECT_EQ(engine.batcher_stats().requests, 1u);
 }
 
 TEST(Serve, MultiClientStressParity) {
