@@ -323,9 +323,8 @@ void emit_perf_json() {
         flops / sec / 1e9, flops / sec_ref / 1e9, sec_ref / sec);
   }
   {
-    // Implicit-GEMM conv3d (pack-from-volume, no CKxL column matrix) vs
-    // the PR 3 im2col path, forward and backward, at the training shape
-    // (batch 4, UNet level-0 geometry).
+    // Implicit-GEMM conv3d forward (pack-from-volume, no CKxL column
+    // matrix) at the training shape (batch 4, UNet level-0 geometry).
     const std::int64_t N = 4, C = 16, F = 16;
     Rng rng(24);
     Tensor x = Tensor::randn(Shape{N, C, 4, 16, 16}, rng);
@@ -335,41 +334,18 @@ void emit_perf_json() {
     const Shape out = conv3d_output_shape(x.shape(), w.shape(), spec);
     const double flops = 2.0 * static_cast<double>(out.numel()) *
                          static_cast<double>(C) * 27.0;
-    Tensor gy = Tensor::randn(out, rng);
     conv3d_forward(x, w, b, spec);  // warm up
-    conv3d_forward_im2col(x, w, b, spec);
-    double sec = 1e300, sec_im2col = 1e300;
-    double bsec = 1e300, bsec_im2col = 1e300;
+    double sec = 1e300;
     for (int r = 0; r < 9; ++r) {
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_forward(x, w, b, spec));
-        sec = std::min(sec, sw.seconds());
-      }
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_forward_im2col(x, w, b, spec));
-        sec_im2col = std::min(sec_im2col, sw.seconds());
-      }
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_backward(x, w, true, spec, gy));
-        bsec = std::min(bsec, sw.seconds());
-      }
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(
-            conv3d_backward_im2col(x, w, true, spec, gy));
-        bsec_im2col = std::min(bsec_im2col, sw.seconds());
-      }
+      Stopwatch sw;
+      benchmark::DoNotOptimize(conv3d_forward(x, w, b, spec));
+      sec = std::min(sec, sw.seconds());
     }
     std::printf(
         "{\"mfn_perf\":\"conv3d_implicit\",\"batch\":%lld,\"channels\":%lld,"
-        "\"threads\":%d,\"gflops\":%.3f,\"im2col_gflops\":%.3f,"
-        "\"speedup_vs_im2col\":%.2f,\"bwd_speedup_vs_im2col\":%.2f}\n",
+        "\"threads\":%d,\"gflops\":%.3f}\n",
         static_cast<long long>(N), static_cast<long long>(C), threads,
-        flops / sec / 1e9, flops / sec_im2col / 1e9, sec_im2col / sec,
-        bsec_im2col / bsec);
+        flops / sec / 1e9);
   }
   {
     // Fused conv -> batchnorm(eval) -> ReLU epilogue vs the unfused
@@ -553,11 +529,8 @@ void emit_perf_json() {
         static_cast<long long>(snap->layers().size()),
         static_cast<long long>(packed_floats), threads, prep * 1e6);
 
-    // Compiled-plan replay vs the streamed tape decode it is bitwise
-    // identical to — the steady-state serving fast path. speedup >= 1.15
-    // at batch 8 is the acceptance metric for the plan subsystem. The two
-    // sides are timed in interleaved best-of windows so frequency drift
-    // between distant measurement windows cannot skew the ratio.
+    // Cached-plan replay — the steady-state serving fast path, which the
+    // no-grad decode lines above run as a per-call plan.
     const Tensor lat1 = latent1.value();
     const Tensor lat8 = latent8.value();
     auto plan1 = core::DecodePlan::compile(
@@ -567,46 +540,41 @@ void emit_perf_json() {
         core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3), lat8.dim(4)});
     MFN_CHECK(plan1 != nullptr && plan8 != nullptr,
               "small_default decoder must be plannable");
-    auto interleaved_best = [&](const std::function<void()>& streamed,
-                                const std::function<void()>& planned) {
-      streamed();
-      planned();  // joint warm-up
+    plan8->execute(lat8, coords8);  // warm up
+    const double pl1 = time_best_of(9, [&] {
+      benchmark::DoNotOptimize(plan1->execute(lat1, coords1[0]));
+    });
+    const double pl8 = time_best_of(9, [&] {
+      benchmark::DoNotOptimize(plan8->execute(lat8, coords8));
+    });
+    std::printf(
+        "{\"mfn_perf\":\"decode_plan\",\"batch\":1,\"queries\":%lld,"
+        "\"threads\":%d,\"qps\":%.0f}\n",
+        static_cast<long long>(Q), threads, static_cast<double>(Q) / pl1);
+    std::printf(
+        "{\"mfn_perf\":\"decode_plan\",\"batch\":%lld,\"queries\":%lld,"
+        "\"threads\":%d,\"qps\":%.0f}\n",
+        static_cast<long long>(NB), static_cast<long long>(Q), threads,
+        static_cast<double>(NB * Q) / pl8);
+
+    // Best-of-9 times of two decodes, timed in interleaved windows so
+    // frequency drift between distant measurement windows cannot skew
+    // their ratio.
+    auto interleaved_best = [&](const std::function<void()>& first,
+                                const std::function<void()>& second) {
+      first();
+      second();  // joint warm-up
       std::pair<double, double> best{1e300, 1e300};
       for (int r = 0; r < 9; ++r) {
         Stopwatch sw;
-        streamed();
+        first();
         best.first = std::min(best.first, sw.seconds());
         Stopwatch sp;
-        planned();
+        second();
         best.second = std::min(best.second, sp.seconds());
       }
       return best;
     };
-    const auto [st1, pl1] = interleaved_best(
-        [&] {
-          benchmark::DoNotOptimize(
-              model.decoder().decode(latent1, coords1[0]));
-        },
-        [&] { benchmark::DoNotOptimize(plan1->execute(lat1, coords1[0])); });
-    const auto [st8, pl8] = interleaved_best(
-        [&] {
-          benchmark::DoNotOptimize(model.decoder().decode(latent8, coords8));
-        },
-        [&] { benchmark::DoNotOptimize(plan8->execute(lat8, coords8)); });
-    std::printf(
-        "{\"mfn_perf\":\"decode_plan\",\"batch\":1,\"queries\":%lld,"
-        "\"threads\":%d,\"qps\":%.0f,\"streamed_qps\":%.0f,"
-        "\"speedup_vs_streamed\":%.2f}\n",
-        static_cast<long long>(Q), threads,
-        static_cast<double>(Q) / pl1, static_cast<double>(Q) / st1,
-        st1 / pl1);
-    std::printf(
-        "{\"mfn_perf\":\"decode_plan\",\"batch\":%lld,\"queries\":%lld,"
-        "\"threads\":%d,\"qps\":%.0f,\"streamed_qps\":%.0f,"
-        "\"speedup_vs_streamed\":%.2f}\n",
-        static_cast<long long>(NB), static_cast<long long>(Q), threads,
-        static_cast<double>(NB * Q) / pl8,
-        static_cast<double>(NB * Q) / st8, st8 / pl8);
 
     // Reduced-precision plan tiers at batch 8: a reconstruction-MSE
     // accuracy gate on the small_default model against a fixed-seed

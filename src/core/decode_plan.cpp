@@ -12,10 +12,20 @@ namespace mfn::core {
 
 namespace {
 
-// Value replay streams the same global 256-query blocks as
-// ContinuousDecoder::decode_streamed — the block size fixes the GEMM row
-// counts, so it is part of the bitwise-parity contract, not a tunable.
+// Value replay runs fixed global blocks of 256 queries, the last block
+// taking the remainder: block i starts at query i*256 whichever worker runs
+// it, so output bits do not depend on MFN_NUM_THREADS. 256 queries keep a
+// block's activations (8 * 256 rows x the widest layer) inside L2.
+//
+// The remainder is absorbed rather than run as a short block so that each
+// block's GEMMs take the same sgemm kernel as the tape's one (8B)-row
+// GEMM: a decode of B <= 256 queries is one block of B, and a longer one
+// has blocks of 256..511 queries, at least 2048 rows, as the tape does.
+// The small-problem kernel and the blocked microkernel are not bitwise
+// interchangeable on every SIMD tier, so a short trailing block would
+// break bitwise parity with the tape there.
 constexpr std::int64_t kBlockQueries = 256;
+constexpr std::int64_t kMaxBlockQueries = 2 * kBlockQueries - 1;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -34,16 +44,25 @@ std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::prepare(
   // Ahead-of-time eval folds (e.g. the encoder's conv->BN epilogue
   // affines): every later encode serves them from cache.
   model.prepare_inference();
+  return build(model.decoder().mlp(), version, /*reduced_tiers=*/true);
+}
 
+std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::pack(
+    const nn::MLP& decoder_mlp, std::uint64_t version) {
+  return build(decoder_mlp, version, /*reduced_tiers=*/false);
+}
+
+std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::build(
+    const nn::MLP& decoder_mlp, std::uint64_t version, bool reduced_tiers) {
+  const auto& fcs = decoder_mlp.layers();
+  MFN_CHECK(!fcs.empty(), "decoder MLP has no layers");
   std::shared_ptr<PreparedSnapshot> ps(new PreparedSnapshot());
   ps->version_ = version;
-  const DecoderConfig& dc = model.decoder().config();
-  ps->latent_channels_ = dc.latent_channels;
-  ps->out_channels_ = dc.out_channels;
-  const nn::MLP& mlp = model.decoder().mlp();
-  ps->activation_ = mlp.activation();
+  ps->latent_channels_ = fcs.front()->in_features() - 3;
+  ps->out_channels_ = fcs.back()->out_features();
+  ps->activation_ = decoder_mlp.activation();
   ps->plannable_ = true;
-  for (const auto& fc : mlp.layers()) {
+  for (const auto& fc : fcs) {
     Layer layer;
     layer.in = fc->in_features();
     layer.out = fc->out_features();
@@ -58,21 +77,23 @@ std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::prepare(
           backend::sgemm_prepack_b_floats(layer.in, layer.out));
       backend::sgemm_prepack_b(backend::Trans::kYes, layer.in, layer.out,
                                layer.weight.data(), layer.packed.data());
-      // Reduced-precision prepacks for the bf16/int8 plan tiers, built
-      // once here so replay pays zero quantization cost on the weights.
-      layer.packed_bf16.resize(
-          backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
-      backend::sgemm_prepack_b_bf16(backend::Trans::kYes, layer.in,
-                                    layer.out, layer.weight.data(),
-                                    layer.packed_bf16.data());
-      layer.packed_i8.resize(
-          backend::sgemm_prepack_b_int8_elems(layer.in, layer.out));
-      layer.w8.resize(static_cast<std::size_t>(layer.out * layer.in));
-      layer.scales.resize(static_cast<std::size_t>(layer.out));
-      backend::sgemm_prepack_b_int8(backend::Trans::kYes, layer.in,
-                                    layer.out, layer.weight.data(),
-                                    layer.packed_i8.data(), layer.w8.data(),
-                                    layer.scales.data());
+      if (reduced_tiers) {
+        // Reduced-precision prepacks for the bf16/int8 plan tiers, built
+        // once here so replay pays zero quantization cost on the weights.
+        layer.packed_bf16.resize(
+            backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
+        backend::sgemm_prepack_b_bf16(backend::Trans::kYes, layer.in,
+                                      layer.out, layer.weight.data(),
+                                      layer.packed_bf16.data());
+        layer.packed_i8.resize(
+            backend::sgemm_prepack_b_int8_elems(layer.in, layer.out));
+        layer.w8.resize(static_cast<std::size_t>(layer.out * layer.in));
+        layer.scales.resize(static_cast<std::size_t>(layer.out));
+        backend::sgemm_prepack_b_int8(backend::Trans::kYes, layer.in,
+                                      layer.out, layer.weight.data(),
+                                      layer.packed_i8.data(),
+                                      layer.w8.data(), layer.scales.data());
+      }
     } else {
       ps->plannable_ = false;  // beyond the single-k-block panel range
     }
@@ -101,6 +122,11 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   if (key.lt < 2 || key.lz < 2 || key.lx < 2) return nullptr;
   const auto& layers = snap->layers();
   if (layers.empty()) return nullptr;
+  if ((key.precision == backend::Precision::kBf16 &&
+       layers.front().packed_bf16.empty()) ||
+      (key.precision == backend::Precision::kInt8 &&
+       layers.front().packed_i8.empty()))
+    return nullptr;  // a pack() snapshot: fp32 panels only
 
   std::shared_ptr<DecodePlan> plan(new DecodePlan());
   plan->snap_ = std::move(snap);
@@ -138,8 +164,8 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   // Value arena: two ping-pong activation banks + the blend weight table.
   // The int8 tier appends a quantized-activation block (int16 viewed
   // through the float arena) and its per-row fp32 scales.
-  const std::int64_t bank = 8 * kBlockQueries * wmax;
-  const std::int64_t rows_max = 8 * kBlockQueries;
+  const std::int64_t bank = 8 * kMaxBlockQueries * wmax;
+  const std::int64_t rows_max = 8 * kMaxBlockQueries;
   plan->off_in_ = 0;
   plan->off_w_ = 2 * bank;
   std::int64_t arena_floats = 2 * bank + rows_max;
@@ -213,7 +239,7 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
     std::swap(cur, nxt);
   }
   plan->off_final_ = cur;
-  plan->nblocks_ = (plan->b_total_ + kBlockQueries - 1) / kBlockQueries;
+  plan->nblocks_ = std::max<std::int64_t>(1, plan->b_total_ / kBlockQueries);
 
   for (const auto& layer : layers)
     plan->jet_layers_.push_back(
@@ -252,9 +278,8 @@ Tensor DecodePlan::execute(const Tensor& latent,
   const float* pl = latent.data();
   const float* pq = query_coords.data();
   float* po = out.data();
-  // Same global-block carving as decode_streamed: block i is
-  // [i*256, (i+1)*256) of [0, B) no matter which worker runs it, so output
-  // bits are invariant under MFN_NUM_THREADS.
+  // Blocks are carved from the global query range (see kBlockQueries),
+  // never from parallel_for's thread-count-dependent chunks.
   parallel_for(
       nblocks_,
       [&](std::int64_t blk0, std::int64_t blk1) {
@@ -264,7 +289,7 @@ Tensor DecodePlan::execute(const Tensor& latent,
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t q0 = blk * kBlockQueries;
           const std::int64_t q1 =
-              std::min(q0 + kBlockQueries, b_total_);
+              blk + 1 == nblocks_ ? b_total_ : q0 + kBlockQueries;
           run_block(pl, pq, po, q0, q1, arena);
         }
         ws.release(m);
@@ -310,7 +335,7 @@ void DecodePlan::run_block(const float* latent, const float* coords,
 
   backend::plan_run(prog_, rows, arena);
 
-  // Trilinear blend, loop-for-loop the streamed tape blend.
+  // Trilinear blend in corner order, as the tape's blend_corners sums.
   const float* y0 = arena + off_final_;
   for (std::int64_t b = q0; b < q1; ++b) {
     float* r = out + b * out_ch_;

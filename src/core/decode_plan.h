@@ -1,45 +1,50 @@
-// Compiled decode plans: the serving fast path for the Continuous Decoding
-// Network.
+// Compiled decode plans: the no-grad value decode of the Continuous
+// Decoding Network.
 //
-// The steady-state serving workload is millions of identical-shape decodes
-// against a frozen model. The tape path re-walks the op graph, re-derives
-// corner geometry into intermediate tensors, and re-packs the decoder
-// weight panels inside every SGEMM. This module compiles that work away,
-// in two stages:
+// A no-grad decode is the same graph every time — only the data changes.
+// The tape path re-walks the op graph, re-derives corner geometry into
+// intermediate tensors, and re-packs the decoder weight panels inside
+// every SGEMM. This module compiles that work away, in two stages:
 //
-//  - PreparedSnapshot (once per swap_model / reload_from_checkpoint): an
-//    immutable, self-contained serving weight format. The decoder MLP's
-//    weights and biases are cloned out of the module tree and prepacked
-//    into persistent SGEMM panels (backend::sgemm_prepack_b), and the
-//    encoder's eval-mode conv->BN affines are folded ahead of time
-//    (Module::prepare_inference). Plans reference these buffers by
+//  - PreparedSnapshot: an immutable, self-contained copy of the decoder
+//    MLP. pack() clones its weights and biases out of the module tree and
+//    prepacks them into persistent SGEMM panels (backend::sgemm_prepack_b)
+//    without touching the module. prepare() also freezes a model for
+//    serving — eval mode, and the encoder's conv->BN affines folded ahead
+//    of time (Module::prepare_inference) — and runs once per swap_model /
+//    reload_from_checkpoint. Plans reference the snapshot's buffers by
 //    pointer, so a cached plan stays valid even after the source model is
 //    hot-swapped away.
 //
-//  - DecodePlan (once per (snapshot version, N, Q, grid) shape, cached in
-//    a PlanCache LRU): lowers the no-grad decode into a flat
+//  - DecodePlan: lowers the no-grad decode for one concrete (snapshot
+//    version, N, Q, grid, precision) shape into a flat
 //    backend::PlanProgram — fused corner gather, prepacked-weight GEMMs,
 //    in-place activations, trilinear blend — over fixed float offsets
 //    carved from the executing thread's workspace arena. Replay does zero
 //    graph traversal, zero dispatch branching, zero heap allocation, and
-//    zero per-call weight packing, and its value output is BITWISE
-//    identical to ContinuousDecoder::decode's streamed no-grad path at
-//    every thread count (same global 256-query blocking, same kernels,
-//    same accumulation order). Plans compile per Precision tier: fp32
-//    keeps that bitwise pin; bf16/int8 replay the reduced-precision
-//    prepacked kernels (backend/sgemm.h) — still bitwise reproducible
-//    across thread counts, but vs the tape only within documented error
-//    bounds.
+//    zero per-call weight packing. Work runs in fixed global blocks of
+//    256 queries (the last block takes the remainder), so output bits do
+//    not depend on MFN_NUM_THREADS.
+//
+// Two callers compile plans. ContinuousDecoder::decode, under NoGradGuard,
+// packs the current weights and compiles an fp32 plan on every call (it
+// caches nothing: optimizers update weights in place, and no weight
+// version exists to invalidate a cache on). The serving layer compiles
+// once per shape into a PlanCache LRU against the snapshot prepare() made.
+// fp32 plans are bitwise identical to the tape decode, which stays their
+// test oracle; bf16/int8 plans replay the reduced-precision prepacked
+// kernels (backend/sgemm.h) and match the tape only within documented
+// error bounds.
 //
 // execute_derivatives() covers predict_with_derivatives by running the
 // derivative node's forward (core/decode_jet.h) over the prepacked
 // weights — no tape and no per-call tensors beyond the six outputs.
 //
 // Shapes the compiler cannot lower (a decoder layer wider than the
-// prepacked panel range) return nullptr from compile(); callers fall back
-// to the tape path. The PreparedSnapshot layer format plus the
-// backend::PlanKernel tag is the seam the quantized weight tiers plug
-// into.
+// prepacked panel range, or no queries) return nullptr from compile();
+// callers fall back to the tape path. The PreparedSnapshot layer format
+// plus the backend::PlanKernel tag is the seam the quantized weight tiers
+// plug into.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +71,10 @@ class PreparedSnapshot {
     std::vector<float> weight;  // dense (out, in) clone
     std::vector<float> bias;    // out entries; empty when the layer has none
     std::vector<float> packed;  // sgemm_prepack_b panels (empty if too wide)
-    // Reduced-precision prepacks (empty when the layer is too wide, like
-    // `packed`): bf16 panels, int8 pair-interleaved panels + dense int8
-    // weights + per-output-column fp32 dequant scales.
+    // Reduced-precision prepacks, built by prepare() only (empty after
+    // pack(), and when the layer is too wide): bf16 panels, int8
+    // pair-interleaved panels + dense int8 weights + per-output-column
+    // fp32 dequant scales.
     std::vector<std::uint16_t> packed_bf16;
     std::vector<std::int16_t> packed_i8;
     std::vector<std::int8_t> w8;
@@ -76,9 +82,16 @@ class PreparedSnapshot {
   };
 
   /// Freeze `model` for serving (set_training(false) +
-  /// Module::prepare_inference()) and clone + prepack its decoder MLP.
+  /// Module::prepare_inference()) and pack its decoder MLP for every
+  /// precision tier.
   static std::shared_ptr<const PreparedSnapshot> prepare(
       MeshfreeFlowNet& model, std::uint64_t version);
+
+  /// Clone a decoder MLP (input rows [3 relative coords | latent
+  /// channels]) and prepack it for fp32 plans only. Reads the module and
+  /// changes nothing in it — no training-mode switch, no eval folds.
+  static std::shared_ptr<const PreparedSnapshot> pack(
+      const nn::MLP& decoder_mlp, std::uint64_t version);
 
   std::uint64_t version() const { return version_; }
   const std::vector<Layer>& layers() const { return layers_; }
@@ -91,6 +104,10 @@ class PreparedSnapshot {
 
  private:
   PreparedSnapshot() = default;
+
+  static std::shared_ptr<const PreparedSnapshot> build(
+      const nn::MLP& decoder_mlp, std::uint64_t version,
+      bool reduced_tiers);
 
   std::uint64_t version_ = 0;
   std::int64_t latent_channels_ = 0;
@@ -129,16 +146,17 @@ class DecodePlan {
  public:
   /// Lower the decode for `key`'s shape against `snap`'s weights. Returns
   /// nullptr when the shape cannot be lowered (see PreparedSnapshot::
-  /// plannable); callers must then take the tape path.
+  /// plannable) or `snap` lacks the key's precision tier; callers must
+  /// then take the tape path.
   static std::shared_ptr<const DecodePlan> compile(
       std::shared_ptr<const PreparedSnapshot> snap, const PlanKey& key);
 
   /// Replay: values at the query points, (N*Q, out_channels). `latent` is
   /// (N, C, LT, LZ, LX) matching the key; `query_coords` is (B, 3) or
-  /// (N, Q, 3) with B == N*Q rows either way. fp32 plans are bitwise
-  /// identical to the streamed tape decode at every MFN_NUM_THREADS;
-  /// bf16/int8 plans are thread-count-invariant but match the tape only
-  /// within their tier's error bound.
+  /// (N, Q, 3) with B == N*Q rows either way. Output bits do not depend
+  /// on MFN_NUM_THREADS. fp32 plans are bitwise identical to the tape
+  /// decode; bf16/int8 plans match it only within their tier's error
+  /// bound.
   Tensor execute(const Tensor& latent, const Tensor& query_coords) const;
 
   /// Replay with exact forward-mode coordinate derivatives (the
@@ -170,7 +188,7 @@ class DecodePlan {
   backend::PlanProgram prog_;
   std::int64_t off_in_ = 0;     // gather destination (first GEMM input)
   std::int64_t off_final_ = 0;  // last GEMM output (blend source)
-  std::int64_t off_w_ = 0;      // trilinear weights, 8 * kBlock
+  std::int64_t off_w_ = 0;      // trilinear weights, one per block row
   std::int64_t nblocks_ = 0;
 
   // Derivative replay: the snapshot's layers with their prepacked panels.

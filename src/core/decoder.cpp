@@ -4,10 +4,9 @@
 
 #include <vector>
 
-#include "backend/sgemm.h"
 #include "common/error.h"
 #include "core/decode_jet.h"
-#include "tensor/tensor_ops.h"
+#include "core/decode_plan.h"
 #include "threading/thread_pool.h"
 
 namespace mfn::core {
@@ -24,20 +23,6 @@ ContinuousDecoder::ContinuousDecoder(DecoderConfig config, Rng& rng)
                                    config_.activation);
   register_module("mlp", *mlp_);
 }
-
-// Corner layout: corner-major — rows [j*B, (j+1)*B) of every (8B, ...)
-// matrix belong to corner j, so per-corner blocks are contiguous
-// slice_rows targets. Corner j has offsets (jt, jz, jx) = bits of j.
-// Within a corner block rows are sample-major: row j*B + s*Q + q is
-// query q of latent sample s (B = N*Q total queries).
-struct ContinuousDecoder::CornerGeometry {
-  std::int64_t B = 0;
-  Tensor inputs_coords;                 // (8B, 3) relative coords
-  std::vector<ad::VoxelIndex> voxels;   // (8B) gather indices
-  // trilinear weights, stacked corner-major like the MLP rows: entry
-  // j*B + b is corner j of query b.
-  Tensor w;  // (8B, 1)
-};
 
 std::int64_t ContinuousDecoder::queries_per_sample(
     const ad::Var& latent, const Tensor& query_coords) const {
@@ -75,15 +60,28 @@ std::int64_t ContinuousDecoder::queries_per_sample(
   return Q;
 }
 
-ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
-    const ad::Var& latent, const Tensor& query_coords) const {
-  const std::int64_t Q = queries_per_sample(latent, query_coords);
+namespace {
+
+// Corner layout: corner-major — rows [j*B, (j+1)*B) of every (8B, ...)
+// matrix belong to corner j, so per-corner blocks are contiguous
+// slice_rows targets. Corner j has offsets (jt, jz, jx) = bits of j.
+// Within a corner block rows are sample-major: row j*B + s*Q + q is
+// query q of latent sample s (B = N*Q total queries).
+struct CornerGeometry {
+  Tensor inputs_coords;                 // (8B, 3) relative coords
+  std::vector<ad::VoxelIndex> voxels;   // (8B) gather indices
+  // trilinear weights, stacked corner-major like the MLP rows: entry
+  // j*B + b is corner j of query b.
+  Tensor w;  // (8B, 1)
+};
+
+CornerGeometry make_corners(const ad::Var& latent, const Tensor& query_coords,
+                            std::int64_t Q) {
   const std::int64_t LT = latent.dim(2), LZ = latent.dim(3),
                      LX = latent.dim(4);
   const std::int64_t B = latent.dim(0) * Q;  // total (sample, query) pairs
 
   CornerGeometry geo;
-  geo.B = B;
   geo.inputs_coords = Tensor::uninitialized(Shape{8 * B, 3});
   geo.voxels.resize(static_cast<std::size_t>(8 * B));
   geo.w = Tensor::uninitialized(Shape{8 * B, 1});
@@ -126,128 +124,32 @@ ContinuousDecoder::CornerGeometry ContinuousDecoder::make_corners(
   return geo;
 }
 
+}  // namespace
+
 ad::Var ContinuousDecoder::decode(const ad::Var& latent,
                                   const Tensor& query_coords) {
-  CornerGeometry geo = make_corners(latent, query_coords);
+  const std::int64_t q = queries_per_sample(latent, query_coords);
 
-  if (ad::NoGradGuard::active())
-    return ad::Var(decode_streamed(latent.value(), geo),
-                   /*requires_grad=*/false);
+  if (ad::NoGradGuard::active()) {
+    // No tape to record: replay an fp32 plan compiled for this call's
+    // shape against a snapshot of the current weights. Nothing is cached,
+    // because optimizers update the weights in place. Shapes the plan
+    // cannot lower fall through to the tape ops, which record nothing
+    // under the guard.
+    const PlanKey key{/*version=*/0, latent.dim(0), q,
+                      latent.dim(2), latent.dim(3), latent.dim(4)};
+    if (const auto plan = DecodePlan::compile(
+            PreparedSnapshot::pack(*mlp_, /*version=*/0), key))
+      return ad::Var(plan->execute(latent.value(), query_coords),
+                     /*requires_grad=*/false);
+  }
 
+  const CornerGeometry geo = make_corners(latent, query_coords, q);
   // fused [coords | gathered latents] rows, (8B, 3 + C)
   ad::Var h = ad::gather_voxels_concat(geo.inputs_coords, latent,
                                        geo.voxels);
   ad::Var y8 = mlp_->forward(h);  // (8B, out)
   return ad::blend_corners(y8, ad::Var(geo.w, /*requires_grad=*/false));
-}
-
-Tensor ContinuousDecoder::decode_streamed(const Tensor& latent,
-                                          const CornerGeometry& geo) const {
-  const std::int64_t B = geo.B;
-  const std::int64_t C = config_.latent_channels;
-  const std::int64_t in0 = 3 + C;
-  const std::int64_t out_ch = config_.out_channels;
-  const std::int64_t D = latent.dim(2), H = latent.dim(3),
-                     W = latent.dim(4);
-  const std::int64_t slab = D * H * W;
-
-  const auto& layers = mlp_->layers();
-  std::int64_t wmax = in0;
-  for (const auto& fc : layers)
-    wmax = std::max(wmax, fc->out_features());
-
-  Tensor out = Tensor::uninitialized(Shape{B, out_ch});
-  const float* pl = latent.data();
-  const float* pc = geo.inputs_coords.data();
-  const float* pw = geo.w.data();
-  float* po = out.data();
-
-  // Fixed ~256-query sub-blocks keep a block's activations
-  // (8 * 256 rows x wmax) inside L2 and bound the per-worker thread_local
-  // scratch. The blocks are carved from the *global* [0, B) range (block i
-  // is [i*256, (i+1)*256) regardless of which worker runs it), never from
-  // parallel_for's chunk boundaries: chunking varies with MFN_NUM_THREADS,
-  // and the serving layer pins decode output bit-identical across pool
-  // sizes.
-  constexpr std::int64_t kBlockQueries = 256;
-  const std::int64_t nblocks = (B + kBlockQueries - 1) / kBlockQueries;
-  parallel_for(
-      nblocks,
-      [&](std::int64_t blk0, std::int64_t blk1) {
-        thread_local std::vector<float> buf_a, buf_b;
-        buf_a.resize(static_cast<std::size_t>(8 * kBlockQueries * wmax));
-        buf_b.resize(static_cast<std::size_t>(8 * kBlockQueries * wmax));
-
-        for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-          const std::int64_t q0 = blk * kBlockQueries;
-          const std::int64_t q1 = std::min(q0 + kBlockQueries, B);
-          const std::int64_t nb = q1 - q0, rows = 8 * nb;
-          float* cur = buf_a.data();
-          float* nxt = buf_b.data();
-
-          // assemble [coords | gathered latent] rows, corner-major
-          // within the block
-          for (int j = 0; j < 8; ++j)
-            for (std::int64_t b = q0; b < q1; ++b) {
-              const std::int64_t src = static_cast<std::int64_t>(j) * B + b;
-              float* r = cur + (static_cast<std::int64_t>(j) * nb +
-                                (b - q0)) * in0;
-              r[0] = pc[src * 3 + 0];
-              r[1] = pc[src * 3 + 1];
-              r[2] = pc[src * 3 + 2];
-              const auto [n, d, h, w] =
-                  geo.voxels[static_cast<std::size_t>(src)];
-              const std::int64_t base = n * C * slab + (d * H + h) * W + w;
-              for (std::int64_t c = 0; c < C; ++c)
-                r[3 + c] = pl[base + c * slab];
-            }
-
-          std::int64_t win = in0;
-          for (std::size_t li = 0; li < layers.size(); ++li) {
-            const nn::Linear& fc = *layers[li];
-            const Tensor& wt = fc.weight().value();  // (wout, win)
-            const std::int64_t wout = fc.out_features();
-            if (fc.has_bias())
-              backend::sgemm_bias_cols(backend::Trans::kNo,
-                                       backend::Trans::kYes, rows, wout,
-                                       win, 1.0f, cur, wt.data(), 0.0f,
-                                       fc.bias().value().data(), nxt);
-            else
-              backend::sgemm(backend::Trans::kNo, backend::Trans::kYes,
-                             rows, wout, win, 1.0f, cur, wt.data(), 0.0f,
-                             nxt);
-            if (li + 1 < layers.size()) {
-              switch (mlp_->activation()) {
-                case nn::Activation::kSoftplus:
-                  softplus_inplace(nxt, rows * wout);
-                  break;
-                case nn::Activation::kTanh:
-                  tanh_inplace(nxt, rows * wout);
-                  break;
-                case nn::Activation::kReLU:
-                  relu_inplace(nxt, rows * wout);
-                  break;
-              }
-            }
-            std::swap(cur, nxt);
-            win = wout;
-          }
-
-          // trilinear blend of the 8 corner rows into the output block
-          for (std::int64_t b = q0; b < q1; ++b) {
-            float* r = po + b * out_ch;
-            for (std::int64_t c = 0; c < out_ch; ++c) r[c] = 0.0f;
-            for (int j = 0; j < 8; ++j) {
-              const float wj = pw[static_cast<std::int64_t>(j) * B + b];
-              const float* y = cur + (static_cast<std::int64_t>(j) * nb +
-                                      (b - q0)) * win;
-              for (std::int64_t c = 0; c < out_ch; ++c) r[c] += wj * y[c];
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-  return out;
 }
 
 DecodeDerivs ContinuousDecoder::decode_with_derivatives(

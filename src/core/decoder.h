@@ -56,8 +56,13 @@ class ContinuousDecoder : public nn::Module {
   /// either (B, 3) continuous indices into that grid (requires N == 1) or
   /// (N, Q, 3) with one query block per latent sample. Returns
   /// (B, out_channels) resp. (N*Q, out_channels) with sample-major rows.
-  /// All (sample, query) pairs run through the shared MLP as one wide
-  /// SGEMM-backed forward.
+  /// On the tape, all (sample, query) pairs run through the shared MLP as
+  /// one wide SGEMM-backed forward. Under NoGradGuard the call instead
+  /// compiles an fp32 DecodePlan (core/decode_plan.h) for its shape
+  /// against a PreparedSnapshot of the current weights and replays it —
+  /// bitwise the tape's values — and runs the tape ops only when the plan
+  /// cannot be compiled (a layer wider than the prepacked panel range, or
+  /// no queries). Nothing is cached between calls.
   ad::Var decode(const ad::Var& latent, const Tensor& query_coords);
 
   /// Decode with forward-mode first and second coordinate derivatives.
@@ -75,18 +80,6 @@ class ContinuousDecoder : public nn::Module {
   /// coordinate is finite; returns the queries per latent sample.
   std::int64_t queries_per_sample(const ad::Var& latent,
                                   const Tensor& query_coords) const;
-
-  /// Corner geometry of the value decode.
-  struct CornerGeometry;
-  CornerGeometry make_corners(const ad::Var& latent,
-                              const Tensor& query_coords) const;
-
-  /// No-grad inference kernel: streams query blocks through
-  /// gather -> MLP -> blend entirely in per-worker scratch (cache-blocked,
-  /// one pool dispatch per decode, nested-serial GEMM per block). Used by
-  /// decode() whenever no tape is being built.
-  Tensor decode_streamed(const Tensor& latent,
-                         const CornerGeometry& geo) const;
 
   DecoderConfig config_;
   std::unique_ptr<nn::MLP> mlp_;

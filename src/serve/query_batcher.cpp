@@ -457,11 +457,12 @@ std::vector<std::vector<std::size_t>> QueryBatcher::plan_decode_units(
 
 // One unit's decode. Prefers replaying a cached DecodePlan at the
 // requested precision — zero graph traversal / dispatch / allocation /
-// weight packing; fp32 plans are bitwise identical to the streamed tape
-// decode, bf16/int8 within their tier's error bound — and falls back to
-// the fp32 tape path when the snapshot carries no prepared weights or the
-// shape does not compile. *served reports the tier that actually ran, so
-// reduced-tier fallback is never silent.
+// weight packing; fp32 plans are bitwise identical to the tape decode,
+// bf16/int8 within their tier's error bound — and falls back to the
+// no-grad decode() (fp32: a per-call plan, or the tape for unplannable
+// shapes) when the snapshot carries no prepared weights or the shape does
+// not compile. *served reports the tier that actually ran, so reduced-tier
+// fallback is never silent.
 Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
                                  const Tensor& latent, const Tensor& coords,
                                  backend::Precision precision, bool* planned,
@@ -490,7 +491,7 @@ Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
     }
   }
   *planned = false;
-  *served = backend::Precision::kFp32;  // the tape path is always fp32
+  *served = backend::Precision::kFp32;  // decode() is always fp32
   ad::NoGradGuard no_grad;
   ad::Var lv(latent, /*requires_grad=*/false);
   return snap.model->decoder().decode(lv, coords).value();

@@ -50,14 +50,13 @@
 //  - snapshot atomicity: a group never mixes snapshots, so every response
 //    is computed wholly by one model snapshot even while the engine
 //    hot-swaps mid-traffic;
-//  - determinism: the streamed decode kernel carves its blocks
-//    independently of MFN_NUM_THREADS, so a given coalesced batch yields
-//    bit-identical rows at any pool size.
+//  - determinism: plan replay carves its query blocks independently of
+//    MFN_NUM_THREADS, so a given coalesced batch yields bit-identical rows
+//    at any pool size.
 //
-// The decode itself parallelizes across the global ThreadPool (per-worker
-// Workspace / thread_local scratch inside decode_streamed); batcher
-// workers are plain threads, so concurrent flushes interleave safely on
-// the pool.
+// The decode itself parallelizes across the global ThreadPool (plan replay
+// runs in each pool worker's Workspace arena); batcher workers are plain
+// threads, so concurrent flushes interleave safely on the pool.
 #pragma once
 
 #include <chrono>
@@ -112,8 +111,9 @@ struct ModelSnapshot {
   /// Prepacked serving weights for this version (self-contained: plans
   /// compiled from it never dangle into the module tree).
   std::shared_ptr<const core::PreparedSnapshot> prepared;
-  /// The engine's shared plan cache; null runs every decode on the tape
-  /// path (standalone batcher uses in tests).
+  /// The engine's shared plan cache; null sends every decode through
+  /// ContinuousDecoder::decode, which compiles a plan per call
+  /// (standalone batcher uses in tests).
   std::shared_ptr<core::PlanCache> plans;
   /// Default decode precision tier for requests that don't override it.
   /// Non-fp32 tiers fall back to fp32 (visibly, via Stats::
@@ -194,8 +194,10 @@ class QueryBatcher {
     std::uint64_t rows = 0;           ///< submitted query rows
     std::uint64_t flushes = 0;        ///< batches drained from the queue
     std::uint64_t decode_calls = 0;   ///< decoder invocations (groups)
-    std::uint64_t planned_decodes = 0;  ///< units served by plan replay
-    std::uint64_t tape_decodes = 0;     ///< units on the tape fallback
+    std::uint64_t planned_decodes = 0;  ///< units served by cached plans
+    /// Units not served from the plan cache: they ran decode(), which
+    /// compiles a per-call plan or, for unplannable shapes, the tape.
+    std::uint64_t tape_decodes = 0;
     std::uint64_t planned_bf16 = 0;     ///< planned units on the bf16 tier
     std::uint64_t planned_int8 = 0;     ///< planned units on the int8 tier
     /// Units that requested a reduced tier but were served fp32 (shape
@@ -345,9 +347,9 @@ class QueryBatcher {
                     const std::vector<std::size_t>& members);
   /// One unit's decode, routed through a cached DecodePlan replay at the
   /// requested precision when the snapshot carries prepared weights and
-  /// the shape compiles; tape path (always fp32) otherwise. Sets *planned
-  /// and *served (the tier that actually computed the rows — fp32 when a
-  /// reduced-tier request fell back).
+  /// the shape compiles; the no-grad ContinuousDecoder::decode (always
+  /// fp32) otherwise. Sets *planned and *served (the tier that actually
+  /// computed the rows — fp32 when a reduced-tier request fell back).
   static Tensor decode_unit(const ModelSnapshot& snap, const Tensor& latent,
                             const Tensor& coords,
                             backend::Precision precision, bool* planned,

@@ -754,60 +754,10 @@ Tensor conv3d_forward(const Tensor& x, const Tensor& weight,
   return conv3d_forward_fused(x, weight, spec, ep);
 }
 
-Tensor conv3d_forward_im2col(const Tensor& x, const Tensor& weight,
-                             const Tensor& bias, const Conv3dSpec& spec) {
-  check_5d(x, "conv3d input");
-  check_5d(weight, "conv3d weight");
-  const Shape out_shape = conv3d_output_shape(x.shape(), weight.shape(), spec);
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const ColExtents ext = col_extents(g);
-  const std::int64_t CK = ext.CK, L = ext.L;
-  if (bias.defined())
-    MFN_CHECK(bias.ndim() == 1 && bias.dim(0) == F,
-              "conv3d bias shape " << bias.shape().str());
-
-  // Every element of `out` is written by the per-sample GEMMs (beta = 0,
-  // bias fused), so skip the zero-fill.
-  Tensor out = Tensor::uninitialized(out_shape);
-  const float* pw = weight.data();  // (F, CK) viewed flat
-  const float* pb = bias.defined() ? bias.data() : nullptr;
-  const float* px = x.data();
-  float* pout = out.data();
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-  // One task per sample; each executing thread draws its column matrix from
-  // its own workspace arena, so the batch loop is allocation-free and
-  // race-free. For N == 1 the loop runs inline on the caller and the GEMM
-  // parallelizes internally instead.
-  parallel_for(
-      N,
-      [&](std::int64_t n0, std::int64_t n1) {
-        backend::Workspace& ws = backend::local_workspace();
-        for (std::int64_t n = n0; n < n1; ++n) {
-          const backend::Workspace::Mark m = ws.mark();
-          float* col = ws.alloc(static_cast<std::size_t>(CK * L));
-          vol2col(px + n * in_slab, g, col);
-          float* po = pout + n * F * L;
-          if (pb != nullptr) {
-            // Per-filter bias is fused into the GEMM write-back.
-            backend::sgemm_bias_rows(backend::Trans::kNo, backend::Trans::kNo,
-                                     F, L, CK, 1.0f, pw, col, 0.0f, pb, po,
-                                     &ws);
-          } else {
-            backend::sgemm(backend::Trans::kNo, backend::Trans::kNo, F, L, CK,
-                           1.0f, pw, col, 0.0f, po, &ws);
-          }
-          ws.release(m);
-        }
-      },
-      /*grain=*/1);
-  return out;
-}
-
 namespace {
 
-// Shared tail of both backward paths: reduce the per-worker weight/bias
-// partials into the output gradients.
+// Tail of conv3d_backward: reduce the per-worker weight/bias partials
+// into the output gradients.
 void reduce_grad_partials(Conv3dGrads& grads, const Tensor& gw_part,
                           const Tensor& gb_part, int W, std::int64_t F,
                           std::int64_t CK, bool had_bias) {
@@ -954,65 +904,6 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
       /*grain=*/1);
 
   ws0.release(m0);
-  reduce_grad_partials(grads, gw_part, gb_part, W, F, CK, had_bias);
-  return grads;
-}
-
-Conv3dGrads conv3d_backward_im2col(const Tensor& x, const Tensor& weight,
-                                   bool had_bias, const Conv3dSpec& spec,
-                                   const Tensor& gy) {
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const ColExtents ext = col_extents(g);
-  const std::int64_t CK = ext.CK, L = ext.L;
-
-  Conv3dGrads grads;
-  grads.gx = Tensor::zeros(x.shape());
-  grads.gweight = Tensor::zeros(weight.shape());
-  if (had_bias) grads.gbias = Tensor::zeros(Shape{F});
-
-  const float* pw = weight.data();  // (F, CK) viewed flat
-  const float* px = x.data();
-  const float* pgy = gy.data();
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-
-  const int W = static_cast<int>(std::min<std::int64_t>(
-      max_parallel_workers(), N + 1));
-  Tensor gw_part = Tensor::zeros(Shape{W, F * CK});
-  Tensor gb_part = had_bias ? Tensor::zeros(Shape{W, F}) : Tensor();
-
-  parallel_for_indexed(
-      N,
-      [&](int worker, std::int64_t n0, std::int64_t n1) {
-        backend::Workspace& ws = backend::local_workspace();
-        float* gw = gw_part.data() +
-                    static_cast<std::size_t>(worker) *
-                        static_cast<std::size_t>(F * CK);
-        for (std::int64_t n = n0; n < n1; ++n) {
-          const backend::Workspace::Mark m = ws.mark();
-          float* col = ws.alloc(static_cast<std::size_t>(CK * L));
-          vol2col(px + n * in_slab, g, col);
-          const float* gy_n = pgy + n * F * L;  // (F, L), no copy
-          // dW_partial += gy_n * col^T  (beta = 1 accumulation)
-          backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK, L,
-                         1.0f, gy_n, col, 1.0f, gw, &ws);
-          // dX_n = col2vol(W^T * gy_n)
-          float* dcol = ws.alloc(static_cast<std::size_t>(CK * L));
-          backend::sgemm(backend::Trans::kYes, backend::Trans::kNo, CK, L, F,
-                         1.0f, pw, gy_n, 0.0f, dcol, &ws);
-          col2vol_accumulate(dcol, g, grads.gx.data() + n * in_slab);
-          if (had_bias) {
-            float* gb = gb_part.data() +
-                        static_cast<std::size_t>(worker) *
-                            static_cast<std::size_t>(F);
-            for (std::int64_t f = 0; f < F; ++f)
-              gb[f] += static_cast<float>(span_sum(gy_n + f * L, L));
-          }
-          ws.release(m);
-        }
-      },
-      /*grain=*/1);
-
   reduce_grad_partials(grads, gw_part, gb_part, W, F, CK, had_bias);
   return grads;
 }

@@ -70,16 +70,6 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
                             bool had_bias, const Conv3dSpec& spec,
                             const Tensor& gy);
 
-/// The PR 3 im2col paths (materialized CKxL column matrix + dense GEMM).
-/// Kept as the implicit-GEMM comparison baseline for parity tests and the
-/// bench_micro_ops implicit-vs-im2col perf line; the model never calls
-/// these.
-Tensor conv3d_forward_im2col(const Tensor& x, const Tensor& weight,
-                             const Tensor& bias, const Conv3dSpec& spec);
-Conv3dGrads conv3d_backward_im2col(const Tensor& x, const Tensor& weight,
-                                   bool had_bias, const Conv3dSpec& spec,
-                                   const Tensor& gy);
-
 /// Seed (v0) serial-batch implementations with naive per-sample GEMM
 /// loops. Kept solely as the comparison baseline for parity tests and the
 /// bench_micro_ops perf trajectory; the model never calls these.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "core/losses.h"
@@ -120,9 +121,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          nn::Activation::kTanh,
                                          nn::Activation::kReLU)));
 
-TEST(BatchedDecode, StreamedNoGradPathMatchesTapePath) {
-  // decode() routes through the block-streamed scratch kernel under
-  // NoGradGuard and through the tape ops otherwise; both must agree.
+TEST(BatchedDecode, NoGradPlanPathMatchesTapePathBitwise) {
+  // decode() replays a per-call DecodePlan under NoGradGuard and runs the
+  // tape ops otherwise; both must agree bit for bit.
   for (auto act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
                    nn::Activation::kReLU}) {
     Rng rng(505);
@@ -134,16 +135,16 @@ TEST(BatchedDecode, StreamedNoGradPathMatchesTapePath) {
 
     ad::Var latent = model.encode(lr);
     ad::Var taped = model.decoder().decode(latent, coords);
-    Tensor streamed;
+    Tensor planned;
     {
       ad::NoGradGuard guard;
-      streamed = model.decoder().decode(latent, coords).value();
+      planned = model.decoder().decode(latent, coords).value();
     }
-    ASSERT_EQ(streamed.shape(), taped.shape());
-    for (std::int64_t r = 0; r < N * Q; ++r)
-      for (int c = 0; c < 4; ++c)
-        EXPECT_NEAR(streamed.at({r, c}), taped.value().at({r, c}), 2e-5f)
-            << "row " << r << " channel " << c;
+    ASSERT_EQ(planned.shape(), taped.shape());
+    EXPECT_EQ(0, std::memcmp(planned.data(), taped.value().data(),
+                             static_cast<std::size_t>(planned.numel()) *
+                                 sizeof(float)))
+        << "no-grad decode is not bit-identical to the tape decode";
   }
 }
 

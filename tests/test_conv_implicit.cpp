@@ -59,8 +59,6 @@ void run_case(const ImplicitCase& p, bool force_scalar) {
   Tensor ref = conv3d_forward_reference(x, w, b, spec);
   Tensor y = conv3d_forward(x, w, b, spec);
   expect_tensors_close(y, ref, 1e-3f, 1e-3f, "forward vs seed reference");
-  Tensor y2 = conv3d_forward_im2col(x, w, b, spec);
-  expect_tensors_close(y, y2, 1e-3f, 1e-3f, "implicit vs im2col");
 
   Rng grng(78);
   Tensor gy = Tensor::randn(ref.shape(), grng);
@@ -72,10 +70,6 @@ void run_case(const ImplicitCase& p, bool force_scalar) {
   if (p.bias)
     expect_tensors_close(g.gbias, gref.gbias, 2e-3f, 2e-3f,
                          "gbias vs seed reference");
-  Conv3dGrads gi = conv3d_backward_im2col(x, w, p.bias, spec, gy);
-  expect_tensors_close(g.gx, gi.gx, 1e-3f, 1e-3f, "gx implicit vs im2col");
-  expect_tensors_close(g.gweight, gi.gweight, 2e-3f, 2e-3f,
-                       "gweight implicit vs im2col");
 }
 
 class ImplicitConvSweep : public ::testing::TestWithParam<ImplicitCase> {};

@@ -1,8 +1,10 @@
 // Compiled decode plans (src/core/decode_plan.*): prepared-snapshot
 // prepacking, plan-vs-tape bitwise parity across shapes and thread counts,
-// zero steady-state heap allocation, plan-cache LRU/versioning discipline,
-// and the serving integration (engine/batcher routing, hot-swap
-// invalidation, concurrent compile+replay+swap for TSan).
+// the no-grad decode() that replays a per-call plan (tape fallback, no
+// side effects on the model, concurrent callers), zero steady-state heap
+// allocation, plan-cache LRU/versioning discipline, and the serving
+// integration (engine/batcher routing, hot-swap invalidation, concurrent
+// compile+replay+swap for TSan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,8 +58,16 @@ Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q, bool flat) {
   return c;
 }
 
+// The plans' oracle: the decode built on the tape. It runs without
+// NoGradGuard because a no-grad decode() replays a plan itself.
 Tensor tape_decode(core::MeshfreeFlowNet& model, const Tensor& latent,
                    const Tensor& coords) {
+  ad::Var lv(latent, /*requires_grad=*/false);
+  return model.decoder().decode(lv, coords).value();
+}
+
+Tensor no_grad_decode(core::MeshfreeFlowNet& model, const Tensor& latent,
+                      const Tensor& coords) {
   ad::NoGradGuard no_grad;
   ad::Var lv(latent, /*requires_grad=*/false);
   return model.decoder().decode(lv, coords).value();
@@ -101,6 +111,28 @@ TEST(PreparedSnapshot, PrepareClonesAndPrepacksDecoder) {
               static_cast<std::size_t>(layer.in * layer.out));
     EXPECT_FALSE(layer.packed.empty());
   }
+}
+
+// pack() is what every no-grad decode() pays per call, so it builds only
+// the fp32 panels those plans replay; the reduced tiers need prepare().
+TEST(PreparedSnapshot, PackCarriesFp32PanelsOnly) {
+  auto model = make_model(105);
+  auto snap = core::PreparedSnapshot::pack(model->decoder().mlp(), 3);
+  ASSERT_TRUE(snap->plannable());
+  EXPECT_EQ(snap->version(), 3u);
+  EXPECT_EQ(snap->latent_channels(), 16);
+  EXPECT_EQ(snap->out_channels(), 4);
+  for (const auto& layer : snap->layers()) {
+    EXPECT_FALSE(layer.packed.empty());
+    EXPECT_TRUE(layer.packed_bf16.empty());
+    EXPECT_TRUE(layer.packed_i8.empty());
+  }
+  core::PlanKey key{3, 1, 16, kLT, kLZ, kLX};
+  EXPECT_NE(core::DecodePlan::compile(snap, key), nullptr);
+  key.precision = backend::Precision::kBf16;
+  EXPECT_EQ(core::DecodePlan::compile(snap, key), nullptr);
+  key.precision = backend::Precision::kInt8;
+  EXPECT_EQ(core::DecodePlan::compile(snap, key), nullptr);
 }
 
 TEST(PreparedSnapshot, TooWideLayerIsUnplannable) {
@@ -197,6 +229,118 @@ TEST(DecodePlan, DerivativeReplayMatchesTapeBundle) {
   EXPECT_LT(max_abs_diff(got.d_dx, want.d_dx.value()), 2e-4);
   EXPECT_LT(max_abs_diff(got.d2_dz2, want.d2_dz2.value()), 2e-3);
   EXPECT_LT(max_abs_diff(got.d2_dx2, want.d2_dx2.value()), 2e-3);
+}
+
+// ------------------------------------------------------ no-grad decode()
+
+TEST(NoGradDecode, BitwiseEqualToTheTapeAcrossActivationsAndWidths) {
+  using Hidden = std::vector<std::int64_t>;
+  for (auto act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
+                   nn::Activation::kReLU}) {
+    for (const Hidden& hidden :
+         {Hidden{8}, Hidden{16, 16}, Hidden{64, 64}, Hidden{384, 384}}) {
+      core::MFNConfig cfg = core::MFNConfig::small_default();
+      cfg.decoder.hidden = hidden;
+      cfg.decoder.activation = act;
+      Rng rng(231);
+      core::MeshfreeFlowNet model(cfg, rng);
+      model.set_training(false);
+      for (std::int64_t n : {1, 3}) {
+        for (std::int64_t q : {7, 257, 300}) {
+          const Tensor latent = make_latent(rng, n, 16);
+          const Tensor coords = make_coords(rng, n, q, /*flat=*/n == 1);
+          SCOPED_TRACE(::testing::Message()
+                       << "act=" << static_cast<int>(act)
+                       << " width=" << hidden.front() << " n=" << n
+                       << " q=" << q);
+          expect_bitwise_equal(no_grad_decode(model, latent, coords),
+                               tape_decode(model, latent, coords),
+                               "no-grad decode vs tape");
+        }
+      }
+    }
+  }
+}
+
+TEST(NoGradDecode, UnplannableDecoderFallsBackToTheTape) {
+  core::MFNConfig cfg = core::MFNConfig::small_default();
+  cfg.decoder.hidden = {400, 16};  // as in TooWideLayerIsUnplannable
+  Rng rng(241);
+  core::MeshfreeFlowNet model(cfg, rng);
+  model.set_training(false);
+  ASSERT_FALSE(
+      core::PreparedSnapshot::pack(model.decoder().mlp(), 0)->plannable());
+  const Tensor latent = make_latent(rng, 2, 16);
+  const Tensor coords = make_coords(rng, 2, 100, /*flat=*/false);
+  expect_bitwise_equal(no_grad_decode(model, latent, coords),
+                       tape_decode(model, latent, coords),
+                       "unplannable no-grad decode vs tape");
+}
+
+// The no-grad decode replays a plan, whose intermediates live in Workspace
+// arenas: its one tensor is the output, where the tape ops would allocate
+// corner geometry, the gathered rows and every layer's activations.
+TEST(NoGradDecode, AllocatesOnlyItsOutputTensor) {
+  auto model = make_model(245);
+  Rng rng(246);
+  const Tensor latent = make_latent(rng, 2, 16);
+  const Tensor coords = make_coords(rng, 2, 300, /*flat=*/false);
+  (void)no_grad_decode(*model, latent, coords);  // warm up
+  const auto before = backend::CachingAllocator::instance().stats();
+  (void)no_grad_decode(*model, latent, coords);
+  const auto after = backend::CachingAllocator::instance().stats();
+  EXPECT_EQ(after.allocs - before.allocs, 1u);
+}
+
+// The per-call snapshot must not freeze the model the way prepare() does:
+// a held-out loss taken mid-training leaves the model training and its
+// weights untouched.
+TEST(NoGradDecode, LeavesTrainingModeAndWeightsUntouched) {
+  Rng rng(251);
+  core::MeshfreeFlowNet model(core::MFNConfig::small_default(), rng);
+  model.set_training(true);
+  std::vector<std::vector<float>> before;
+  for (ad::Var* p : model.parameters())
+    before.emplace_back(p->value().data(),
+                        p->value().data() + p->value().numel());
+
+  const Tensor latent = make_latent(rng, 2, 16);
+  const Tensor coords = make_coords(rng, 2, 64, /*flat=*/false);
+  const Tensor got = no_grad_decode(model, latent, coords);
+
+  EXPECT_TRUE(model.training());
+  EXPECT_TRUE(model.decoder().training());
+  EXPECT_TRUE(model.decoder().mlp().training());
+  const auto params = model.parameters();
+  ASSERT_EQ(params.size(), before.size());
+  for (std::size_t i = 0; i < params.size(); ++i)
+    ASSERT_EQ(0, std::memcmp(params[i]->value().data(), before[i].data(),
+                             before[i].size() * sizeof(float)))
+        << "parameter " << i << " changed";
+  expect_bitwise_equal(got, tape_decode(model, latent, coords),
+                       "training-mode no-grad decode vs tape");
+}
+
+// TSan target as well: each caller packs its own snapshot and compiles
+// its own plan from the shared module, and all replays share the pool.
+TEST(NoGradDecode, ConcurrentCallersGetTheSingleThreadResult) {
+  auto model = make_model(261);
+  Rng rng(262);
+  const Tensor latent = make_latent(rng, 3, 16);
+  const Tensor coords = make_coords(rng, 3, 300, /*flat=*/false);
+  const Tensor want = no_grad_decode(*model, latent, coords);
+
+  constexpr int kThreads = 4, kReps = 5;
+  std::vector<Tensor> got(kThreads * kReps);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kReps; ++r)
+        got[t * kReps + r] = no_grad_decode(*model, latent, coords);
+    });
+  for (auto& th : threads) th.join();
+  for (const Tensor& g : got)
+    expect_bitwise_equal(g, want, "concurrent vs single-thread decode");
 }
 
 // ------------------------------------------------- zero-alloc steady state

@@ -60,9 +60,10 @@ Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q, bool flat) {
   return c;
 }
 
+// The plans' oracle: the decode built on the tape. It runs without
+// NoGradGuard because a no-grad decode() replays a plan itself.
 Tensor tape_decode(core::MeshfreeFlowNet& model, const Tensor& latent,
                    const Tensor& coords) {
-  ad::NoGradGuard no_grad;
   ad::Var lv(latent, /*requires_grad=*/false);
   return model.decoder().decode(lv, coords).value();
 }
