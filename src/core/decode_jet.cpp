@@ -2,7 +2,6 @@
 
 #include <type_traits>
 
-#include "backend/sgemm.h"
 #include "backend/simd.h"
 #include "backend/workspace.h"
 #include "tensor/tensor_ops.h"
@@ -12,16 +11,17 @@ namespace mfn::core {
 namespace jet {
 namespace {
 
-using backend::Trans;
 using nn::Activation;
 
-constexpr std::int64_t kBlockRows = 8 * kBlockQueries;
+constexpr int kStreams = 6;  // value, t/z/x tangents, z/x curvatures
+constexpr int kRows = 8;     // rows per tile: one query's 8 corners
 
 // ------------------------------------------------------------ lane types --
-// Each jet pass is written once over a lane type: simd::VF chunks with a
-// masked ragged tail on the vector tiers, or single floats on the scalar
-// reference path, whose transcendentals are the tensor_ops scalar
-// references. simd::enabled() picks one per call.
+// Every kernel below is written once over a lane type: simd::VF on the
+// vector tiers, or single floats on the scalar reference path, whose
+// transcendentals are the tensor_ops scalar references. simd::enabled()
+// picks one per call. Lanes run along a layer's features; kRegs (the
+// tier's register count) sizes the register tiles.
 
 inline simd::VF operator+(simd::VF a, simd::VF b) { return simd::vadd(a, b); }
 inline simd::VF operator-(simd::VF a, simd::VF b) { return simd::vsub(a, b); }
@@ -30,17 +30,11 @@ inline simd::VF operator*(simd::VF a, simd::VF b) { return simd::vmul(a, b); }
 struct VecLanes {
   using V = simd::VF;
   static constexpr std::int64_t kWidth = simd::kWidth;
-  static V load(const float* p, std::int64_t n) {
-    return n == kWidth ? simd::vloadu(p)
-                       : simd::vload_partial(p, static_cast<int>(n));
-  }
-  static void store(float* p, V v, std::int64_t n) {
-    if (n == kWidth)
-      simd::vstoreu(p, v);
-    else
-      simd::vstore_partial(p, v, static_cast<int>(n));
-  }
+  static constexpr int kRegs = simd::kWidth >= 16 ? 32 : 16;
+  static V load(const float* p) { return simd::vloadu(p); }
+  static void store(float* p, V v) { simd::vstoreu(p, v); }
   static V set1(float x) { return simd::vset1(x); }
+  static V fma(V a, V b, V c) { return simd::vfma(a, b, c); }
   // f, f', f'', f''' at z. Softplus shares one exp(-|z|) between the
   // v_softplus and v_sigmoid formulas, so f and f' equal those kernels'.
   template <Activation A>
@@ -71,9 +65,11 @@ struct VecLanes {
 struct ScalarLanes {
   using V = float;
   static constexpr std::int64_t kWidth = 1;
-  static V load(const float* p, std::int64_t) { return *p; }
-  static void store(float* p, V v, std::int64_t) { *p = v; }
+  static constexpr int kRegs = 16;
+  static V load(const float* p) { return *p; }
+  static void store(float* p, V v) { *p = v; }
   static V set1(float x) { return x; }
+  static V fma(V a, V b, V c) { return a * b + c; }
   template <Activation A>
   static void derivs(V z, V& f, V& d1, V& d2, V& d3) {
     if constexpr (A == Activation::kSoftplus) {
@@ -95,12 +91,12 @@ struct ScalarLanes {
   }
 };
 
-// Calls f(lanes, tag) with the lane type simd::enabled() selects and `act`
-// as the compile-time constant decltype(tag)::value.
+// Calls f(lanes, tag) with VecLanes when `vec`, else ScalarLanes, and
+// `act` as the compile-time constant decltype(tag)::value.
 template <class F>
-void dispatch(Activation act, F&& f) {
+void dispatch(bool vec, Activation act, F&& f) {
   auto with = [&](auto tag) {
-    if (simd::enabled())
+    if (vec)
       f(VecLanes{}, tag);
     else
       f(ScalarLanes{}, tag);
@@ -118,121 +114,338 @@ void dispatch(Activation act, F&& f) {
   }
 }
 
-// body(i, o, n) over the column chunks of a rows x w stream: element
-// offset i = r * w + o, n lanes.
-template <class P, class Body>
-void for_chunks(std::int64_t rows, std::int64_t w, Body&& body) {
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t o = 0; o < w; o += P::kWidth)
-      body(r * w + o, o, std::min<std::int64_t>(P::kWidth, w - o));
+// ------------------------------------------------------------ tile layout --
+// A tile is one query's 8 corner rows (row j = corner j). A layer's
+// activations in a tile are row-major with the features padded to whole
+// column panels: stream m of row r starts at (r * S + m) * ld for S
+// streams (1 for layer 0's value and the layer-0 input, 6 for a jet).
+
+// Column tiling of a width: panels of np vectors (two when the width
+// exceeds one vector), ld = padded width. Padding lanes hold finite
+// values that no later pass reads back into a real lane.
+struct Cols {
+  int np = 1;
+  std::int64_t panels = 0, ld = 0;
+};
+
+template <class P>
+Cols cols(std::int64_t n) {
+  Cols c;
+  c.np = n > P::kWidth ? 2 : 1;
+  const std::int64_t pw = c.np * P::kWidth;
+  c.panels = (n + pw - 1) / pw;
+  c.ld = c.panels * pw;
+  return c;
 }
 
-// --------------------------------------------------------------- forward --
-// A jet block holds six streams of rows x w — the value, the t, z, x
-// tangents and the z, x curvatures — stacked: stream m starts at
-// m * rows * w.
-
-// Hidden layer l > 0: pre-activation jet z -> activation jet h. `bias`
-// (may be null) is added to the value stream first and written back, so
-// z keeps the true pre-activation for the backward.
-template <class P, Activation A>
-void act_forward(std::int64_t rows, std::int64_t w, const float* bias,
-                 float* z, float* h) {
-  using V = typename P::V;
-  const std::int64_t s = rows * w;
-  for_chunks<P>(rows, w, [&](std::int64_t i, std::int64_t o, std::int64_t n) {
-    V zv = P::load(z + i, n);
-    if (bias != nullptr) {
-      zv = zv + P::load(bias + o, n);
-      P::store(z + i, zv, n);
-    }
-    V f{}, d1{}, d2{}, d3{};
-    P::template derivs<A>(zv, f, d1, d2, d3);
-    const V tz = P::load(z + 2 * s + i, n), tx = P::load(z + 3 * s + i, n);
-    P::store(h + i, f, n);
-    P::store(h + s + i, d1 * P::load(z + s + i, n), n);
-    P::store(h + 2 * s + i, d1 * tz, n);
-    P::store(h + 3 * s + i, d1 * tx, n);
-    P::store(h + 4 * s + i, d2 * (tz * tz) + d1 * P::load(z + 4 * s + i, n),
-             n);
-    P::store(h + 5 * s + i, d2 * (tx * tx) + d1 * P::load(z + 5 * s + i, n),
-             n);
-  });
+// Calls f(std::integral_constant<int, np>) for np in {1, 2}.
+template <class F>
+void with_np(int np, F&& f) {
+  if (np == 2)
+    f(std::integral_constant<int, 2>{});
+  else
+    f(std::integral_constant<int, 1>{});
 }
 
-// Layer 0 with its seeds folded away: the value pre-activation z0 and W0's
-// coordinate columns (wc[k * w + o] = W0(o, k)) give the jet, because the
-// tangents entering the activation are those columns and the curvatures
-// are zero.
-template <class P, Activation A>
-void fold_layer0(std::int64_t rows, std::int64_t w, const float* z0,
-                 const float* wc, float* h) {
-  using V = typename P::V;
-  const std::int64_t s = rows * w;
-  for_chunks<P>(rows, w, [&](std::int64_t i, std::int64_t o, std::int64_t n) {
-    V f{}, d1{}, d2{}, d3{};
-    P::template derivs<A>(P::load(z0 + i, n), f, d1, d2, d3);
-    const V wz = P::load(wc + w + o, n), wx = P::load(wc + 2 * w + o, n);
-    P::store(h + i, f, n);
-    P::store(h + s + i, d1 * P::load(wc + o, n), n);
-    P::store(h + 2 * s + i, d1 * wz, n);
-    P::store(h + 3 * s + i, d1 * wx, n);
-    P::store(h + 4 * s + i, d2 * (wz * wz), n);
-    P::store(h + 5 * s + i, d2 * (wx * wx), n);
-  });
-}
-
-// Single-layer MLP: layer 0 is the linear output, so its tangents are the
-// coordinate columns and its curvatures zero; stream 0 already holds the
-// value GEMM.
-void fold_linear_layer0(std::int64_t rows, std::int64_t w, const float* wc,
-                        float* y) {
-  const std::int64_t s = rows * w;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = y + r * w;
-    for (std::int64_t o = 0; o < w; ++o) {
-      row[s + o] = wc[o];
-      row[2 * s + o] = wc[w + o];
-      row[3 * s + o] = wc[2 * w + o];
-      row[4 * s + o] = 0.0f;
-      row[5 * s + o] = 0.0f;
-    }
-  }
-}
-
-// Trilinear blend of the 8 corner jets of queries [q0, q0 + nb) into the
-// members. geo holds the block's w, dw/dt, dw/dz, dw/dx tables, 8 * nb
-// entries each.
-void blend(std::int64_t nb, std::int64_t w, const float* y, const float* geo,
-           std::int64_t q0, const std::array<float*, kMembers>& outs) {
-  const std::int64_t rows = 8 * nb, s = rows * w;
-  for (std::int64_t b = 0; b < nb; ++b) {
-    std::array<float*, kMembers> p{};
-    for (int m = 0; m < kMembers; ++m) {
-      p[m] = outs[m] + (q0 + b) * w;
-      std::fill(p[m], p[m] + w, 0.0f);
-    }
-    for (int j = 0; j < 8; ++j) {
-      const std::int64_t row = j * nb + b;
-      const float wq = geo[row], dt = geo[rows + row],
-                  dz = geo[2 * rows + row], dx = geo[3 * rows + row];
-      const float* h = y + row * w;
-      for (std::int64_t c = 0; c < w; ++c) {
-        const float tz = h[2 * s + c], tx = h[3 * s + c];
-        p[kValue][c] += wq * h[c];
-        p[kDt][c] += dt * h[c] + wq * h[s + c];
-        p[kDz][c] += dz * h[c] + wq * tz;
-        p[kDx][c] += dx * h[c] + wq * tx;
-        p[kDzz][c] += 2.0f * dz * tz + wq * h[4 * s + c];
-        p[kDxx][c] += 2.0f * dx * tx + wq * h[5 * s + c];
+// Column panels of the n x kk matrix M(i, j) = at(i, j) over i: panel p
+// holds kk rows of pw = np * W consecutive i, at
+// (p * kk + j) * pw + i', zero past n. One per layer and direction per
+// call, small enough to stay in L1 while a tile walks the layer.
+template <class P, class At>
+float* pack_panels(std::int64_t n, std::int64_t kk, At&& at,
+                   backend::Workspace& ws) {
+  const Cols c = cols<P>(n);
+  const std::int64_t pw = c.np * P::kWidth;
+  float* p = ws.alloc(static_cast<std::size_t>(c.panels * kk * pw));
+  for (std::int64_t t = 0; t < c.panels; ++t)
+    for (std::int64_t j = 0; j < kk; ++j)
+      for (std::int64_t i = 0; i < pw; ++i) {
+        const std::int64_t col = t * pw + i;
+        p[(t * kk + j) * pw + i] = col < n ? at(col, j) : 0.0f;
       }
+  return p;
+}
+
+// n floats of src (or zeros with a null src) padded with zeros to ld.
+float* padded(const float* src, std::int64_t n, std::int64_t ld,
+              backend::Workspace& ws) {
+  float* p = ws.alloc(static_cast<std::size_t>(ld));
+  for (std::int64_t i = 0; i < ld; ++i)
+    p[i] = src != nullptr && i < n ? src[i] : 0.0f;
+  return p;
+}
+
+// The per-call weights: every layer's panels, padded biases, and layer 0's
+// coordinate columns wc[k * ld0 + o] = W0(o, k), k in {t, z, x}.
+struct Net {
+  std::vector<Layer> layers;
+  std::vector<const float*> fwd, bwd, bias;
+  const float* wc = nullptr;
+};
+
+// fwd: panels over each layer's outputs (column o of M is W's row o).
+// bwd (with `backward`): panels over each layer's inputs (W^T), layer 0's
+// over its latent columns only, which are what the input adjoint is kept
+// for.
+template <class P>
+Net make_net(const std::vector<Layer>& layers, bool backward,
+             backend::Workspace& ws) {
+  Net net{layers, {}, {}, {}, nullptr};
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const Layer& ly = layers[l];
+    net.fwd.push_back(pack_panels<P>(
+        ly.out, ly.in,
+        [&ly](std::int64_t o, std::int64_t k) {
+          return ly.weight[o * ly.in + k];
+        },
+        ws));
+    if (backward) {
+      const std::int64_t k0 = l == 0 ? 3 : 0;
+      net.bwd.push_back(pack_panels<P>(
+          ly.in - k0, ly.out,
+          [&ly, k0](std::int64_t k, std::int64_t o) {
+            return ly.weight[o * ly.in + k0 + k];
+          },
+          ws));
     }
+    net.bias.push_back(padded(ly.bias, ly.out, cols<P>(ly.out).ld, ws));
+  }
+  const Layer& l0 = layers.front();
+  const std::int64_t ld0 = cols<P>(l0.out).ld;
+  float* wc = ws.alloc(static_cast<std::size_t>(3 * ld0));
+  for (int k = 0; k < 3; ++k)
+    for (std::int64_t o = 0; o < ld0; ++o)
+      wc[k * ld0 + o] = o < l0.out ? l0.weight[o * l0.in + k] : 0.0f;
+  net.wc = wc;
+  return net;
+}
+
+// ---------------------------------------------------------- tile kernels --
+
+// One register tile of a layer product: R rows x S streams x NP vectors,
+// acc[r][m][v] = sum over k < n of src(r, m, k) * panel(k, v), the source
+// entries broadcast against the panel's vectors. src(r, m, k) is at
+// src + r * ldr + m * lds + k.
+template <class P, int R, int S, int NP>
+inline void product(const float* src, std::int64_t ldr, std::int64_t lds,
+                    std::int64_t n, const float* panel,
+                    typename P::V (&acc)[R][S][NP]) {
+  using V = typename P::V;
+  constexpr std::int64_t W = P::kWidth;
+  for (int r = 0; r < R; ++r)
+    for (int m = 0; m < S; ++m)
+      for (int v = 0; v < NP; ++v) acc[r][m][v] = P::set1(0.0f);
+  for (std::int64_t k = 0; k < n; ++k) {
+    V w[NP];
+    for (int v = 0; v < NP; ++v) w[v] = P::load(panel + (k * NP + v) * W);
+    for (int r = 0; r < R; ++r)
+      for (int m = 0; m < S; ++m) {
+        const V a = P::set1(src[r * ldr + m * lds + k]);
+        for (int v = 0; v < NP; ++v) acc[r][m][v] = P::fma(a, w[v], acc[r][m][v]);
+      }
   }
 }
 
-// Latent offset of query b's base corner and its fractions in the cell.
+// Rows of a register tile acc[R][S][NP].
+template <class T, int R, int S, int NP>
+constexpr int rows_of(const T (&)[R][S][NP]) {
+  return R;
+}
+
+// Rows per register tile of an S-stream product with NP-vector panels:
+// R * S * NP accumulators fill about three quarters of the registers.
+template <class P, int S, int NP>
+constexpr int tile_rows() {
+  constexpr int budget = P::kRegs * 3 / 4;
+  constexpr int r = budget / (S * NP);
+  return r >= 8 ? 8 : r >= 4 ? 4 : r >= 2 ? 2 : 1;
+}
+
+// A layer pass: for every column panel and every R-row register tile of
+// `rows` rows, the product of the S-stream source (row stride S * lds,
+// stream stride lds, n inputs) with the panel, handed to wb(r0, c0, acc)
+// for the write-back of rows r0.. and columns c0...
+template <class P, int S, int NP, int R = tile_rows<P, S, NP>(), class WB>
+void layer_pass(const float* src, std::int64_t lds, int rows, std::int64_t n,
+                const float* panels, std::int64_t npanels, WB&& wb) {
+  constexpr std::int64_t pw = NP * P::kWidth;
+  static_assert(kRows % R == 0, "register tiles cover the tile's rows");
+  for (std::int64_t p = 0; p < npanels; ++p)
+    for (int r0 = 0; r0 < rows; r0 += R) {
+      typename P::V acc[R][S][NP];
+      product<P, R, S, NP>(src + r0 * S * lds, S * lds, lds, n,
+                           panels + p * n * pw, acc);
+      wb(r0, p * pw, acc);
+    }
+}
+
+// Weight-gradient partial: acc(o, k) += sum over rows and streams of
+// zbar(r, m, o) h(r, m, k), for an out x in layer whose output adjoint
+// zbar (stream stride ldz) and input h (stream stride ldh, padded to whole
+// panels) hold `rows` rows of S streams; acc rows are ldh apart. Register
+// tiles of NO outputs x NP vectors stay in registers over all rank-1
+// updates.
+template <class P, int S, int NO, int NP>
+inline void wgrad_tile(const float* zbar, std::int64_t ldz, const float* h,
+                       std::int64_t ldh, int rows, std::int64_t o0,
+                       std::int64_t c0, float* acc) {
+  using V = typename P::V;
+  constexpr std::int64_t W = P::kWidth;
+  V a[NO][NP];
+  for (int i = 0; i < NO; ++i)
+    for (int v = 0; v < NP; ++v)
+      a[i][v] = P::load(acc + (o0 + i) * ldh + c0 + v * W);
+  for (int r = 0; r < rows * S; ++r) {  // row r / S, stream r % S
+    V hv[NP];
+    for (int v = 0; v < NP; ++v) hv[v] = P::load(h + r * ldh + c0 + v * W);
+    for (int i = 0; i < NO; ++i) {
+      const V z = P::set1(zbar[r * ldz + o0 + i]);
+      for (int v = 0; v < NP; ++v) a[i][v] = P::fma(z, hv[v], a[i][v]);
+    }
+  }
+  for (int i = 0; i < NO; ++i)
+    for (int v = 0; v < NP; ++v)
+      P::store(acc + (o0 + i) * ldh + c0 + v * W, a[i][v]);
+}
+
+template <class P, int S>
+void wgrad(const float* zbar, std::int64_t ldz, std::int64_t out,
+           const float* h, std::int64_t in, int rows, float* acc) {
+  const Cols c = cols<P>(in);
+  with_np(c.np, [&](auto np) {
+    constexpr int NP = decltype(np)::value;
+    constexpr int NO = P::kRegs / 2 / NP;
+    for (std::int64_t p = 0; p < c.panels; ++p) {
+      const std::int64_t c0 = p * NP * P::kWidth;
+      std::int64_t o = 0;
+      for (; o + NO <= out; o += NO)
+        wgrad_tile<P, S, NO, NP>(zbar, ldz, h, c.ld, rows, o, c0, acc);
+      for (; o < out; ++o)
+        wgrad_tile<P, S, 1, NP>(zbar, ldz, h, c.ld, rows, o, c0, acc);
+    }
+  });
+}
+
+// acc[c] += the sum over `rows` rows of src(r, c), stream 0 of an S-stream
+// set of stream stride ld: a bias gradient.
+template <class P>
+void row_sums(const float* src, int S, std::int64_t ld, int rows,
+              float* acc) {
+  for (std::int64_t c = 0; c < ld; c += P::kWidth) {
+    typename P::V a = P::load(acc + c);
+    for (int r = 0; r < rows; ++r) a = a + P::load(src + r * S * ld + c);
+    P::store(acc + c, a);
+  }
+}
+
+// The jet activation of pre-activation jet z into h (stream m at m * ss):
+// h = f(z), t = f' tau, c = f'' tau^2 + f' kappa. With d, also stores
+// f', f'', f''' there (derivative e at e * ss) for the backward.
+template <class P, Activation A>
+inline void act_jet(const typename P::V (&z)[kStreams], float* h,
+                    std::int64_t ss, float* d) {
+  using V = typename P::V;
+  V f{}, d1{}, d2{}, d3{};
+  P::template derivs<A>(z[0], f, d1, d2, d3);
+  P::store(h, f);
+  P::store(h + ss, d1 * z[1]);
+  P::store(h + 2 * ss, d1 * z[2]);
+  P::store(h + 3 * ss, d1 * z[3]);
+  P::store(h + 4 * ss, d2 * (z[2] * z[2]) + d1 * z[4]);
+  P::store(h + 5 * ss, d2 * (z[3] * z[3]) + d1 * z[5]);
+  if (d == nullptr) return;
+  P::store(d, d1);
+  P::store(d + ss, d2);
+  P::store(d + 2 * ss, d3);
+}
+
+// Layer 0's pre-activation jet at columns c..: the value z, and W0's
+// coordinate columns as tangents (the seeds fold away), zero curvatures.
+template <class P>
+inline void layer0_jet(typename P::V z, const float* wc, std::int64_t ld0,
+                       typename P::V (&j)[kStreams]) {
+  j[0] = z;
+  for (int k = 0; k < 3; ++k) j[1 + k] = P::load(wc + k * ld0);
+  j[4] = j[5] = P::set1(0.0f);
+}
+
+// The trilinear blend of a tile's 8 corner jets h (stream stride ld) into
+// the six members m (member stride ld):
+//   value = sum w h, d/dk = sum dw_k h + w t_k,
+//   d2/dk2 = sum 2 dw_k t_k + w c_k.
+// The output layer is linear, so blending its input and projecting once
+// per query equals projecting each corner and blending the outputs.
+template <class P>
+void blend(const float* h, std::int64_t ld, const float* geo, float* m) {
+  using V = typename P::V;
+  const V two = P::set1(2.0f);
+  for (std::int64_t c = 0; c < ld; c += P::kWidth) {
+    V acc[kMembers];
+    for (V& a : acc) a = P::set1(0.0f);
+    for (int j = 0; j < kRows; ++j) {
+      const V w = P::set1(geo[4 * j]), dt = P::set1(geo[4 * j + 1]),
+              dz = P::set1(geo[4 * j + 2]), dx = P::set1(geo[4 * j + 3]);
+      V y[kStreams];
+      for (int s = 0; s < kStreams; ++s)
+        y[s] = P::load(h + (j * kStreams + s) * ld + c);
+      acc[kValue] = acc[kValue] + w * y[0];
+      acc[kDt] = acc[kDt] + (dt * y[0] + w * y[1]);
+      acc[kDz] = acc[kDz] + (dz * y[0] + w * y[2]);
+      acc[kDx] = acc[kDx] + (dx * y[0] + w * y[3]);
+      acc[kDzz] = acc[kDzz] + (two * dz * y[2] + w * y[4]);
+      acc[kDxx] = acc[kDxx] + (two * dx * y[3] + w * y[5]);
+    }
+    for (int s = 0; s < kMembers; ++s) P::store(m + s * ld + c, acc[s]);
+  }
+}
+
+// Blend adjoint at corner j (weights geo): the adjoint hb of the corner's
+// jet from the members' adjoint mb.
+template <class P>
+inline void blend_adjoint(const typename P::V (&mb)[kMembers],
+                          const float* geo, typename P::V (&hb)[kStreams]) {
+  using V = typename P::V;
+  const V two = P::set1(2.0f);
+  const V w = P::set1(geo[0]), dt = P::set1(geo[1]), dz = P::set1(geo[2]),
+          dx = P::set1(geo[3]);
+  hb[0] = w * mb[kValue] + dt * mb[kDt] + dz * mb[kDz] + dx * mb[kDx];
+  hb[1] = w * mb[kDt];
+  hb[2] = w * mb[kDz] + two * dz * mb[kDzz];
+  hb[3] = w * mb[kDx] + two * dx * mb[kDxx];
+  hb[4] = w * mb[kDzz];
+  hb[5] = w * mb[kDxx];
+}
+
+// A single-layer decoder's output layer reads layer 0's input as a jet:
+// the [rel | latent] rows with unit tangent seeds on the coordinate
+// columns and zero curvatures (stream stride ldx).
+void seed_jet(const float* x, std::int64_t ldx, float* h) {
+  for (int r = 0; r < kRows; ++r) {
+    float* hr = h + r * kStreams * ldx;
+    std::fill(hr, hr + kStreams * ldx, 0.0f);
+    std::copy(x + r * ldx, x + (r + 1) * ldx, hr);
+    for (int k = 0; k < 3; ++k) hr[(1 + k) * ldx + k] = 1.0f;
+  }
+}
+
+std::int64_t block_count(const Grid& g) {
+  return (g.n * g.q + kBlockQueries - 1) / kBlockQueries;
+}
+
+// The widest padded row of any layer's input or output.
+template <class P>
+std::int64_t widest_ld(const std::vector<Layer>& layers) {
+  std::int64_t w = cols<P>(layers.front().in).ld;
+  for (const Layer& l : layers) w = std::max(w, cols<P>(l.out).ld);
+  return w;
+}
+
+// --------------------------------------------------------------- gather --
+
+// Query b's sample, the latent voxel of its base corner (t, z, x) and its
+// fractions in the cell.
 struct Cell {
-  std::int64_t base = 0;
+  std::int64_t sample = 0, voxel = 0;
   double ft = 0.0, fz = 0.0, fx = 0.0;
 };
 
@@ -240,165 +453,203 @@ Cell locate(const Grid& g, const float* coords, std::int64_t b) {
   const auto [t0, ft] = cellof(coords[b * 3 + 0], g.lt);
   const auto [z0, fz] = cellof(coords[b * 3 + 1], g.lz);
   const auto [x0, fx] = cellof(coords[b * 3 + 2], g.lx);
-  const std::int64_t slab = g.lt * g.lz * g.lx;
-  return {(b / g.q) * g.c * slab + (t0 * g.lz + z0) * g.lx + x0, ft, fz, fx};
+  return {b / g.q, (t0 * g.lz + z0) * g.lx + x0, ft, fz, fx};
 }
 
-// Latent offset of corner j (bits jt jz jx) from the base corner.
+// Voxel offset of corner j (bits jt jz jx) from the base corner.
 std::int64_t corner_offset(const Grid& g, int j) {
   return (((j >> 2) & 1) * g.lz + ((j >> 1) & 1)) * g.lx + (j & 1);
 }
 
-// [coords | latent] rows, corner-major (row j * nb + b), and the blend
-// tables of queries [q0, q0 + nb).
-void gather(const Grid& g, const float* coords, std::int64_t q0,
-            std::int64_t nb, float* x, float* geo) {
-  const std::int64_t rows = 8 * nb, in0 = 3 + g.c;
+// The latent channels-last, lc[(n * slab + voxel) * c + ch], so a corner's
+// latent row is one contiguous copy.
+float* channels_last(const Grid& g, backend::Workspace& ws) {
   const std::int64_t slab = g.lt * g.lz * g.lx;
-  for (std::int64_t b = 0; b < nb; ++b) {
-    const Cell cell = locate(g, coords, q0 + b);
-    for (int j = 0; j < 8; ++j) {
-      const int jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
-      const std::int64_t row = j * nb + b;
-      float* r = x + row * in0;
-      r[0] = static_cast<float>(cell.ft - jt);
-      r[1] = static_cast<float>(cell.fz - jz);
-      r[2] = static_cast<float>(cell.fx - jx);
-      const float* src = g.latent + cell.base + corner_offset(g, j);
-      for (std::int64_t c = 0; c < g.c; ++c) r[3 + c] = src[c * slab];
-      // per-axis hat weights; their coordinate derivatives are +-1 factors
-      const double wt = jt ? cell.ft : 1.0 - cell.ft;
-      const double wz = jz ? cell.fz : 1.0 - cell.fz;
-      const double wx = jx ? cell.fx : 1.0 - cell.fx;
-      const double st = jt ? 1.0 : -1.0, sz = jz ? 1.0 : -1.0,
-                   sx = jx ? 1.0 : -1.0;
-      geo[row] = static_cast<float>(wt * wz * wx);
-      geo[rows + row] = static_cast<float>(st * wz * wx);
-      geo[2 * rows + row] = static_cast<float>(wt * sz * wx);
-      geo[3 * rows + row] = static_cast<float>(wt * wz * sx);
+  float* lc = ws.alloc(static_cast<std::size_t>(g.n * slab * g.c));
+  for (std::int64_t n = 0; n < g.n; ++n)
+    for (std::int64_t ch = 0; ch < g.c; ++ch) {
+      const float* src = g.latent + (n * g.c + ch) * slab;
+      float* dst = lc + n * slab * g.c + ch;
+      for (std::int64_t v = 0; v < slab; ++v) dst[v * g.c] = src[v];
     }
+  return lc;
+}
+
+// Query b's tile: row j of x (stride ldx) is corner j's [rel | latent]
+// input and geo[4 * j ..] its blend weights w, dw/dt, dw/dz, dw/dx.
+void gather(const Grid& g, const float* lc, const float* coords,
+            std::int64_t b, std::int64_t ldx, float* x, float* geo) {
+  const Cell cell = locate(g, coords, b);
+  const float* base =
+      lc + (cell.sample * g.lt * g.lz * g.lx + cell.voxel) * g.c;
+  for (int j = 0; j < kRows; ++j) {
+    const int jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
+    float* r = x + j * ldx;
+    r[0] = static_cast<float>(cell.ft - jt);
+    r[1] = static_cast<float>(cell.fz - jz);
+    r[2] = static_cast<float>(cell.fx - jx);
+    const float* src = base + corner_offset(g, j) * g.c;
+    std::copy(src, src + g.c, r + 3);
+    // per-axis hat weights; their coordinate derivatives are +-1 factors
+    const double wt = jt ? cell.ft : 1.0 - cell.ft;
+    const double wz = jz ? cell.fz : 1.0 - cell.fz;
+    const double wx = jx ? cell.fx : 1.0 - cell.fx;
+    const double st = jt ? 1.0 : -1.0, sz = jz ? 1.0 : -1.0,
+                 sx = jx ? 1.0 : -1.0;
+    geo[4 * j + 0] = static_cast<float>(wt * wz * wx);
+    geo[4 * j + 1] = static_cast<float>(st * wz * wx);
+    geo[4 * j + 2] = static_cast<float>(wt * sz * wx);
+    geo[4 * j + 3] = static_cast<float>(wt * wz * sx);
   }
 }
 
-// C(m, l.out) = A(m, l.in) W^T (+ bias).
-void gemm_nt(std::int64_t m, const Layer& l, const float* a,
-             const float* bias, float* c) {
-  if (l.packed != nullptr)
-    backend::sgemm_prepacked_nt(m, l.out, l.in, a, l.weight, l.packed, bias,
-                                c);
-  else if (bias != nullptr)
-    backend::sgemm_bias_cols(Trans::kNo, Trans::kYes, m, l.out, l.in, 1.0f,
-                             a, l.weight, 0.0f, bias, c);
-  else
-    backend::sgemm(Trans::kNo, Trans::kYes, m, l.out, l.in, 1.0f, a,
-                   l.weight, 0.0f, c);
-}
+// --------------------------------------------------------------- forward --
 
-// W0's coordinate columns: wc[k * out + o] = W0(o, k), k in {t, z, x}.
-void coord_columns(const Layer& l0, float* wc) {
-  for (int k = 0; k < 3; ++k)
-    for (std::int64_t o = 0; o < l0.out; ++o)
-      wc[k * l0.out + o] = l0.weight[o * l0.in + k];
-}
-
-// Per-block buffer layout in floats, sized for a full block (a short last
-// block uses the same offsets). The backward reads x, geo, z0 and the
-// hidden jets h and z; y is the output layer's jet.
-struct Frame {
-  std::int64_t x = 0, geo = 0, z0 = 0, y = 0, total = 0;
-  std::vector<std::int64_t> h;  // h[l]: jet out of hidden layer l
-  std::vector<std::int64_t> z;  // z[l]: pre-activation jet of hidden l > 0
-};
-
-Frame make_frame(const std::vector<Layer>& layers) {
-  Frame f;
-  f.h.assign(layers.size(), 0);
-  f.z.assign(layers.size(), 0);
-  auto take = [&f](std::int64_t floats) {
-    const std::int64_t at = f.total;
-    f.total += (floats + 15) / 16 * 16;  // 64-byte aligned regions
-    return at;
-  };
-  f.x = take(kBlockRows * layers.front().in);
-  f.geo = take(4 * kBlockRows);
-  if (layers.size() > 1) f.z0 = take(kBlockRows * layers.front().out);
-  for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
-    if (l > 0) f.z[l] = take(6 * kBlockRows * layers[l].out);
-    f.h[l] = take(6 * kBlockRows * layers[l].out);
-  }
-  f.y = take(6 * kBlockRows * layers.back().out);
-  return f;
-}
-
-std::int64_t block_count(const Grid& g) {
-  return (g.n * g.q + kBlockQueries - 1) / kBlockQueries;
-}
-
+// A gathered tile x (stride ldx) through layer 0 and every hidden layer.
+// Layer 0 computes the value only: its tangents are W0's coordinate
+// columns and its curvatures zero, so the seeds fold into its write-back.
+// Each hidden layer after it is one 6-stream product per register tile
+// with bias and the jet activation applied in the write-back. Hidden layer
+// l's jet goes to hs[l] (row r, stream m at (r * 6 + m) * ld_l); with ds,
+// f', f'', f''' go to ds[l] (row r, derivative e at (r * 3 + e) * ld_l)
+// and the pre-activation jets of layers l > 0 to zs[l] (laid out like
+// hs[l]), for the backward.
 template <class P, Activation A>
-void forward_block(const Grid& g, const float* coords,
-                   const std::vector<Layer>& layers, const Frame& fr,
-                   const float* wc, std::int64_t q0, std::int64_t nb,
-                   float* base, const std::array<float*, kMembers>& outs) {
-  const std::int64_t rows = 8 * nb;
-  const Layer& first = layers.front();
-  const Layer& last = layers.back();
-  float* y = base + fr.y;
-  gather(g, coords, q0, nb, base + fr.x, base + fr.geo);
-  if (layers.size() == 1) {
-    gemm_nt(rows, first, base + fr.x, first.bias, y);
-    fold_linear_layer0(rows, first.out, wc, y);
-  } else {
-    gemm_nt(rows, first, base + fr.x, first.bias, base + fr.z0);
-    fold_layer0<P, A>(rows, first.out, base + fr.z0, wc, base + fr.h[0]);
-    for (std::size_t l = 1; l < layers.size(); ++l) {
-      const bool hidden = l + 1 < layers.size();
-      float* z = hidden ? base + fr.z[l] : y;
-      gemm_nt(6 * rows, layers[l], base + fr.h[l - 1], nullptr, z);
-      if (hidden)
-        act_forward<P, A>(rows, layers[l].out, layers[l].bias, z,
-                          base + fr.h[l]);
-    }
-    if (last.bias != nullptr)  // the output bias reaches the value only
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t o = 0; o < last.out; ++o)
-          y[r * last.out + o] += last.bias[o];
+void hidden_layers(const Net& net, const float* x, float* const* hs,
+                   float* const* ds, float* const* zs) {
+  using V = typename P::V;
+  constexpr std::int64_t W = P::kWidth;
+  const std::vector<Layer>& layers = net.layers;
+  const Layer& l0 = layers.front();
+  const Cols c0 = cols<P>(l0.out);
+  with_np(c0.np, [&](auto np) {
+    constexpr int NP = decltype(np)::value;
+    layer_pass<P, 1, NP>(
+        x, cols<P>(l0.in).ld, kRows, l0.in, net.fwd[0], c0.panels,
+        [&](int r0, std::int64_t c, auto& acc) {
+          for (int r = 0; r < rows_of(acc); ++r)
+            for (int v = 0; v < NP; ++v) {
+              const std::int64_t col = c + v * W;
+              V zj[kStreams];
+              layer0_jet<P>(acc[r][0][v] + P::load(net.bias[0] + col),
+                            net.wc + col, c0.ld, zj);
+              act_jet<P, A>(zj, hs[0] + (r0 + r) * kStreams * c0.ld + col,
+                            c0.ld,
+                            ds == nullptr
+                                ? nullptr
+                                : ds[0] + (r0 + r) * 3 * c0.ld + col);
+            }
+        });
+  });
+  for (std::size_t l = 1; l + 1 < layers.size(); ++l) {
+    const Layer& ly = layers[l];
+    const Cols cl = cols<P>(ly.out);
+    with_np(cl.np, [&](auto np) {
+      constexpr int NP = decltype(np)::value;
+      layer_pass<P, kStreams, NP>(
+          hs[l - 1], cols<P>(ly.in).ld, kRows, ly.in, net.fwd[l], cl.panels,
+          [&](int r0, std::int64_t c, auto& acc) {
+            for (int r = 0; r < rows_of(acc); ++r)
+              for (int v = 0; v < NP; ++v) {
+                const std::int64_t col = c + v * W;
+                const std::int64_t at = (r0 + r) * kStreams * cl.ld + col;
+                V z[kStreams];
+                for (int m = 0; m < kStreams; ++m) z[m] = acc[r][m][v];
+                z[0] = z[0] + P::load(net.bias[l] + col);
+                if (zs != nullptr)
+                  for (int m = 0; m < kStreams; ++m)
+                    P::store(zs[l] + at + m * cl.ld, z[m]);
+                act_jet<P, A>(z, hs[l] + at, cl.ld,
+                              ds == nullptr
+                                  ? nullptr
+                                  : ds[l] + (r0 + r) * 3 * cl.ld + col);
+              }
+          });
+    });
   }
-  blend(nb, last.out, y, base + fr.geo, q0, outs);
 }
 
-// Forward over every block. With `saved`, block blk's frame stays at
-// saved + blk * fr.total for the backward; without, frames are scratch.
+// Query b through every layer: the last hidden jet (for a single-layer
+// decoder, the seeded input) is blended over the 8 corners and the output
+// layer projects the six blended members once. hs holds a jet buffer per
+// hidden layer (distinct for consecutive layers); m and mem hold six
+// members each.
+template <class P, Activation A>
+void forward_tile(const Grid& g, const float* lc, const float* coords,
+                  std::int64_t b, const Net& net, float* x, float* geo,
+                  float* const* hs, float* m, float* mem,
+                  const std::array<float*, kMembers>& outs) {
+  constexpr std::int64_t W = P::kWidth;
+  const std::vector<Layer>& layers = net.layers;
+  const std::size_t L = layers.size();
+  const Layer& lo = layers.back();
+  const std::int64_t ldx = cols<P>(layers.front().in).ld;
+  gather(g, lc, coords, b, ldx, x, geo);
+  if (L == 1)
+    seed_jet(x, ldx, hs[0]);
+  else
+    hidden_layers<P, A>(net, x, hs, nullptr, nullptr);
+  const std::int64_t ldi = cols<P>(lo.in).ld;
+  blend<P>(hs[L == 1 ? 0 : L - 2], ldi, geo, m);
+  const Cols co = cols<P>(lo.out);
+  with_np(co.np, [&](auto np) {
+    constexpr int NP = decltype(np)::value;
+    layer_pass<P, kStreams, NP, 1>(
+        m, ldi, 1, lo.in, net.fwd[L - 1], co.panels,
+        [&](int, std::int64_t c, auto& acc) {
+          for (int v = 0; v < NP; ++v) {
+            const std::int64_t col = c + v * W;
+            // the output bias reaches the value only
+            P::store(mem + col, acc[0][0][v] + P::load(net.bias[L - 1] + col));
+            for (int k = 1; k < kMembers; ++k)
+              P::store(mem + k * co.ld + col, acc[0][k][v]);
+          }
+        });
+  });
+  for (int k = 0; k < kMembers; ++k)
+    std::copy(mem + k * co.ld, mem + k * co.ld + lo.out,
+              outs[k] + b * lo.out);
+}
+
+// Forward over every block, each block's queries in order.
+template <class P, Activation A>
 void run_forward(const Grid& g, const float* coords,
-                 const std::vector<Layer>& layers, Activation act,
-                 const Frame& fr, float* saved,
+                 const std::vector<Layer>& layers,
                  const std::array<float*, kMembers>& outs) {
   const std::int64_t total = g.n * g.q;
-  dispatch(act, [&](auto lanes, auto tag) {
-    using P = decltype(lanes);
-    using Tag = decltype(tag);
-    parallel_for(
-        block_count(g),
-        [&](std::int64_t blk0, std::int64_t blk1) {
-          backend::Workspace& ws = backend::local_workspace();
-          const backend::Workspace::Mark mark = ws.mark();
-          float* wc =
-              ws.alloc(static_cast<std::size_t>(3 * layers.front().out));
-          coord_columns(layers.front(), wc);
-          float* scratch =
-              saved == nullptr
-                  ? ws.alloc(static_cast<std::size_t>(fr.total))
-                  : nullptr;
-          for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-            const std::int64_t q0 = blk * kBlockQueries;
-            forward_block<P, Tag::value>(
-                g, coords, layers, fr, wc, q0,
-                std::min(kBlockQueries, total - q0),
-                saved == nullptr ? scratch : saved + blk * fr.total, outs);
-          }
-          ws.release(mark);
-        },
-        /*grain=*/1);
-  });
+  const std::int64_t ldx = cols<P>(layers.front().in).ld;
+  const std::int64_t ldmax = widest_ld<P>(layers);
+  backend::Workspace& ws0 = backend::local_workspace();
+  const backend::Workspace::Mark mark0 = ws0.mark();
+  const Net net = make_net<P>(layers, /*backward=*/false, ws0);
+  const float* lc = channels_last(g, ws0);
+  parallel_for(
+      block_count(g),
+      [&](std::int64_t blk0, std::int64_t blk1) {
+        backend::Workspace& ws = backend::local_workspace();
+        const backend::Workspace::Mark mark = ws.mark();
+        auto take = [&ws](std::int64_t floats) {
+          return ws.alloc(static_cast<std::size_t>(floats));
+        };
+        float* x = padded(nullptr, 0, kRows * ldx, ws);
+        float* geo = take(4 * kRows);
+        // Two jet buffers, alternating between consecutive layers.
+        float* pair[2] = {take(kRows * kStreams * ldmax),
+                          take(kRows * kStreams * ldmax)};
+        std::vector<float*> hs;
+        for (std::size_t l = 0; l + 1 < std::max<std::size_t>(layers.size(), 2);
+             ++l)
+          hs.push_back(pair[l % 2]);
+        float* m = take(kMembers * ldmax);
+        float* mem = take(kMembers * ldmax);
+        const std::int64_t b1 = std::min(blk1 * kBlockQueries, total);
+        for (std::int64_t b = blk0 * kBlockQueries; b < b1; ++b)
+          forward_tile<P, A>(g, lc, coords, b, net, x, geo, hs.data(), m,
+                             mem, outs);
+        ws.release(mark);
+      },
+      /*grain=*/1);
+  ws0.release(mark0);
 }
 
 // -------------------------------------------------------------- backward --
@@ -421,181 +672,254 @@ GradLayout grad_layout(const std::vector<Layer>& layers) {
   return gl;
 }
 
-// dst[o] = the sum over rows of g[r * w + o], in row order.
-void column_sums(std::int64_t rows, std::int64_t w, const float* g,
-                 float* dst) {
-  std::fill(dst, dst + w, 0.0f);
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t o = 0; o < w; ++o) dst[o] += g[r * w + o];
-}
+// Per-worker scratch of the backward: the tile's regathered input, blend
+// weights and member gradients, its recomputed hidden jets h[l],
+// activation derivatives d[l] (f', f'', f''') and pre-activation jets z[l]
+// (l > 0), the blended members and their adjoint, two adjoint buffers,
+// and the block's weight, bias and coordinate-column gradient
+// accumulators (rows padded like the layer's input).
+struct BwdScratch {
+  float *x = nullptr, *geo = nullptr, *gm = nullptr;
+  std::vector<float*> h, d, z, accw, accb;
+  float *m = nullptr, *mbar = nullptr, *a = nullptr, *b = nullptr;
+  float* csum = nullptr;
+};
 
-// Blend adjoint: the member gradients of queries [q0, q0 + nb) (row
-// m * total + q of g) -> the adjoint of the output layer's jet.
-void blend_backward(std::int64_t nb, std::int64_t w, const float* geo,
-                    std::int64_t q0, std::int64_t total, const float* g,
-                    float* ybar) {
-  const std::int64_t rows = 8 * nb, s = rows * w;
-  for (std::int64_t b = 0; b < nb; ++b) {
-    std::array<const float*, kMembers> gm{};
-    for (int m = 0; m < kMembers; ++m) gm[m] = g + (m * total + q0 + b) * w;
-    for (int j = 0; j < 8; ++j) {
-      const std::int64_t row = j * nb + b;
-      const float wq = geo[row], dt = geo[rows + row],
-                  dz = geo[2 * rows + row], dx = geo[3 * rows + row];
-      float* yb = ybar + row * w;
-      for (std::int64_t c = 0; c < w; ++c) {
-        yb[c] = wq * gm[kValue][c] + dt * gm[kDt][c] + dz * gm[kDz][c] +
-                dx * gm[kDx][c];
-        yb[s + c] = wq * gm[kDt][c];
-        yb[2 * s + c] = wq * gm[kDz][c] + 2.0f * dz * gm[kDzz][c];
-        yb[3 * s + c] = wq * gm[kDx][c] + 2.0f * dx * gm[kDxx][c];
-        yb[4 * s + c] = wq * gm[kDzz][c];
-        yb[5 * s + c] = wq * gm[kDxx][c];
+// Query b's tile backward. The forward saves nothing: the tile is
+// regathered and run through the hidden layers again, keeping every jet,
+// activation derivative and pre-activation jet. Then the output layer's
+// weight gradient from the blended members and its input adjoint, the
+// blend adjoint to every corner, then per hidden layer from the top: the
+// activation adjoint
+//
+//   zbar       = f' hbar + f'' (sum_k tau_k tbar_k + sum_m kappa_m cbar_m)
+//                + f''' sum_m tau_m^2 cbar_m
+//   taubar_k   = f' tbar_k  (+ 2 f'' tau_k cbar_k for k in {z, x})
+//   kappabar_m = f' cbar_m
+//
+// (fused into the write-back of the product that produced hbar), the
+// weight-gradient partial and the input-gradient product. Layer 0's folded
+// tangent seeds turn its tangent and curvature adjoints into gradients of
+// W0's coordinate columns (s.csum). With xbar, the adjoint of the tile's
+// latent inputs goes there (row j at j * ldc).
+template <class P, Activation A>
+void backward_tile(const Grid& g, const float* lc, const float* coords,
+                   std::int64_t b, std::int64_t total, const Net& net,
+                   const float* grad, BwdScratch& s, float* xbar) {
+  using V = typename P::V;
+  constexpr std::int64_t W = P::kWidth;
+  constexpr int S = kStreams;
+  const std::vector<Layer>& layers = net.layers;
+  const std::size_t L = layers.size();
+  const Layer& l0 = layers.front();
+  const Layer& lo = layers.back();
+  const std::int64_t ldx = cols<P>(l0.in).ld, ld0 = cols<P>(l0.out).ld;
+  const std::int64_t ldo = cols<P>(lo.out).ld, ldi = cols<P>(lo.in).ld;
+  const std::int64_t ldc = cols<P>(g.c).ld;
+  const V two = P::set1(2.0f);
+  gather(g, lc, coords, b, ldx, s.x, s.geo);
+
+  if (L == 1)
+    seed_jet(s.x, ldx, s.h[0]);
+  else
+    hidden_layers<P, A>(net, s.x, s.h.data(), s.d.data(), s.z.data());
+
+  // Adjoint hb of hidden layer l's output jet at row r, columns c.. into
+  // that of its pre-activation: the six-stream zbar into dst for l > 0;
+  // for layer 0 the value adjoint into dst and the coordinate-column
+  // gradients into s.csum.
+  auto act_adjoint = [&](std::size_t l, int r, std::int64_t c,
+                         const V (&hb)[S], float* dst) {
+    const std::int64_t ld = cols<P>(layers[l].out).ld;
+    const float* d = s.d[l] + r * 3 * ld + c;
+    const V d1 = P::load(d), d2 = P::load(d + ld), d3 = P::load(d + 2 * ld);
+    if (l == 0) {
+      const V wt = P::load(net.wc + c), wz = P::load(net.wc + ld0 + c),
+              wx = P::load(net.wc + 2 * ld0 + c);
+      P::store(dst + r * ld0 + c,
+               d1 * hb[0] + d2 * (wt * hb[1] + wz * hb[2] + wx * hb[3]) +
+                   d3 * (wz * wz * hb[4] + wx * wx * hb[5]));
+      float* cs = s.csum + c;
+      P::store(cs, P::load(cs) + d1 * hb[1]);
+      P::store(cs + ld0,
+               P::load(cs + ld0) + (d1 * hb[2] + two * d2 * wz * hb[4]));
+      P::store(cs + 2 * ld0,
+               P::load(cs + 2 * ld0) + (d1 * hb[3] + two * d2 * wx * hb[5]));
+      return;
+    }
+    const std::int64_t at = r * S * ld + c;
+    const float* zk = s.z[l] + at;
+    const V tt = P::load(zk + ld), tz = P::load(zk + 2 * ld),
+            tx = P::load(zk + 3 * ld), kz = P::load(zk + 4 * ld),
+            kx = P::load(zk + 5 * ld);
+    const V mixed =
+        tt * hb[1] + tz * hb[2] + tx * hb[3] + kz * hb[4] + kx * hb[5];
+    float* zb = dst + at;
+    P::store(zb, d1 * hb[0] + d2 * mixed +
+                     d3 * (tz * tz * hb[4] + tx * tx * hb[5]));
+    P::store(zb + ld, d1 * hb[1]);
+    P::store(zb + 2 * ld, d1 * hb[2] + two * d2 * tz * hb[4]);
+    P::store(zb + 3 * ld, d1 * hb[3] + two * d2 * tx * hb[5]);
+    P::store(zb + 4 * ld, d1 * hb[4]);
+    P::store(zb + 5 * ld, d1 * hb[5]);
+  };
+
+  // Output layer: weight and bias gradients against the blended members,
+  // then the members' adjoint (over the latent columns only when the
+  // output layer is layer 0).
+  for (int m = 0; m < kMembers; ++m) {
+    float* gm = s.gm + m * ldo;
+    for (std::int64_t o = 0; o < ldo; ++o)
+      gm[o] = o < lo.out ? grad[(m * total + b) * lo.out + o] : 0.0f;
+  }
+  blend<P>(L == 1 ? s.h[0] : s.h[L - 2], ldi, s.geo, s.m);
+  wgrad<P, S>(s.gm, ldo, lo.out, s.m, lo.in, 1, s.accw[L - 1]);
+  row_sums<P>(s.gm, S, ldo, 1, s.accb[L - 1]);
+  const Cols cm = cols<P>(L == 1 ? g.c : lo.in);
+  with_np(cm.np, [&](auto np) {
+    constexpr int NP = decltype(np)::value;
+    layer_pass<P, S, NP, 1>(
+        s.gm, ldo, 1, lo.out, net.bwd[L - 1], cm.panels,
+        [&](int, std::int64_t c, auto& acc) {
+          for (int m = 0; m < kMembers; ++m)
+            for (int v = 0; v < NP; ++v)
+              P::store(s.mbar + m * cm.ld + c + v * W, acc[0][m][v]);
+        });
+  });
+
+  // Blend adjoint to every corner, then the last hidden layer's
+  // activation adjoint; a single-layer decoder's latent adjoint directly.
+  for (int r = 0; r < kRows; ++r)
+    for (std::int64_t c = 0; c < cm.ld; c += W) {
+      V mb[kMembers], hb[S];
+      for (int m = 0; m < kMembers; ++m)
+        mb[m] = P::load(s.mbar + m * cm.ld + c);
+      blend_adjoint<P>(mb, s.geo + 4 * r, hb);
+      if (L == 1) {
+        if (xbar != nullptr) P::store(xbar + r * ldc + c, hb[0]);
+      } else {
+        act_adjoint(L - 2, r, c, hb, s.a);
       }
     }
-  }
-}
+  if (L == 1) return;
 
-// Hidden layer l > 0 backward, in place: g holds the adjoint of the
-// layer's output jet on entry and that of its pre-activation jet z on exit.
-template <class P, Activation A>
-void act_backward(std::int64_t rows, std::int64_t w, const float* z,
-                  float* g) {
-  using V = typename P::V;
-  const std::int64_t s = rows * w;
-  const V two = P::set1(2.0f);
-  for_chunks<P>(rows, w, [&](std::int64_t i, std::int64_t, std::int64_t n) {
-    V f{}, d1{}, d2{}, d3{};
-    P::template derivs<A>(P::load(z + i, n), f, d1, d2, d3);
-    const V tt = P::load(z + s + i, n), tz = P::load(z + 2 * s + i, n),
-            tx = P::load(z + 3 * s + i, n), kz = P::load(z + 4 * s + i, n),
-            kx = P::load(z + 5 * s + i, n);
-    const V hb = P::load(g + i, n), ttb = P::load(g + s + i, n),
-            tzb = P::load(g + 2 * s + i, n), txb = P::load(g + 3 * s + i, n),
-            czb = P::load(g + 4 * s + i, n), cxb = P::load(g + 5 * s + i, n);
-    const V mixed = tt * ttb + tz * tzb + tx * txb + kz * czb + kx * cxb;
-    P::store(g + i,
-             d1 * hb + d2 * mixed + d3 * (tz * tz * czb + tx * tx * cxb), n);
-    P::store(g + s + i, d1 * ttb, n);
-    P::store(g + 2 * s + i, d1 * tzb + two * d2 * tz * czb, n);
-    P::store(g + 3 * s + i, d1 * txb + two * d2 * tx * cxb, n);
-    P::store(g + 4 * s + i, d1 * czb, n);
-    P::store(g + 5 * s + i, d1 * cxb, n);
-  });
-}
-
-// Layer 0 backward (hidden): its tangents are W0's coordinate columns and
-// its curvatures zero, so only the value adjoint zbar0 is written (to
-// stream 0 of g) and the coordinate-column gradients add into csum (3 x w).
-template <class P, Activation A>
-void fold_layer0_backward(std::int64_t rows, std::int64_t w, const float* z0,
-                          const float* wc, float* g, float* csum) {
-  using V = typename P::V;
-  const std::int64_t s = rows * w;
-  const V two = P::set1(2.0f);
-  for_chunks<P>(rows, w, [&](std::int64_t i, std::int64_t o, std::int64_t n) {
-    V f{}, d1{}, d2{}, d3{};
-    P::template derivs<A>(P::load(z0 + i, n), f, d1, d2, d3);
-    const V wt = P::load(wc + o, n), wz = P::load(wc + w + o, n),
-            wx = P::load(wc + 2 * w + o, n);
-    const V ttb = P::load(g + s + i, n), tzb = P::load(g + 2 * s + i, n),
-            txb = P::load(g + 3 * s + i, n), czb = P::load(g + 4 * s + i, n),
-            cxb = P::load(g + 5 * s + i, n);
-    P::store(g + i,
-             d1 * P::load(g + i, n) + d2 * (wt * ttb + wz * tzb + wx * txb) +
-                 d3 * (wz * wz * czb + wx * wx * cxb),
-             n);
-    P::store(csum + o, P::load(csum + o, n) + d1 * ttb, n);
-    P::store(csum + w + o,
-             P::load(csum + w + o, n) + (d1 * tzb + two * d2 * wz * czb), n);
-    P::store(csum + 2 * w + o,
-             P::load(csum + 2 * w + o, n) + (d1 * txb + two * d2 * wx * cxb),
-             n);
-  });
-}
-
-template <class P, Activation A>
-void backward_block(const std::vector<Layer>& layers, const Frame& fr,
-                    const GradLayout& gl, const float* wc, std::int64_t q0,
-                    std::int64_t nb, std::int64_t total, const float* base,
-                    const float* grad, float* part, float* ga, float* gb,
-                    float* csum, float* xbar) {
-  const std::int64_t rows = 8 * nb;
-  float* cur = ga;
-  float* nxt = gb;
-  blend_backward(nb, layers.back().out, base + fr.geo, q0, total, grad, cur);
+  float* cur = s.a;
+  float* nxt = s.b;
   // cur holds the adjoint of layer l's pre-activation jet.
-  for (std::size_t l = layers.size() - 1; l >= 1; --l) {
+  for (std::size_t l = L - 2; l >= 1; --l) {
     const Layer& ly = layers[l];
-    backend::sgemm(Trans::kYes, Trans::kNo, ly.out, ly.in, 6 * rows, 1.0f,
-                   cur, base + fr.h[l - 1], 0.0f, part + gl.w[l]);
-    if (ly.bias != nullptr) column_sums(rows, ly.out, cur, part + gl.b[l]);
-    backend::sgemm(Trans::kNo, Trans::kNo, 6 * rows, ly.in, ly.out, 1.0f,
-                   cur, ly.weight, 0.0f, nxt);
+    const std::int64_t ldl = cols<P>(ly.out).ld;
+    const Cols ci = cols<P>(ly.in);
+    wgrad<P, S>(cur, ldl, ly.out, s.h[l - 1], ly.in, kRows, s.accw[l]);
+    row_sums<P>(cur, S, ldl, kRows, s.accb[l]);
+    with_np(ci.np, [&](auto np) {
+      constexpr int NP = decltype(np)::value;
+      layer_pass<P, S, NP>(
+          cur, ldl, kRows, ly.out, net.bwd[l], ci.panels,
+          [&](int r0, std::int64_t c, auto& acc) {
+            for (int r = 0; r < rows_of(acc); ++r)
+              for (int v = 0; v < NP; ++v) {
+                V hb[S];
+                for (int m = 0; m < S; ++m) hb[m] = acc[r][m][v];
+                act_adjoint(l - 1, r0 + r, c + v * W, hb, nxt);
+              }
+          });
+    });
     std::swap(cur, nxt);
-    if (l >= 2) act_backward<P, A>(rows, ly.in, base + fr.z[l - 1], cur);
   }
-  const Layer& l0 = layers.front();
-  std::fill(csum, csum + 3 * l0.out, 0.0f);
-  if (layers.size() == 1) {
-    for (int k = 0; k < 3; ++k)
-      column_sums(rows, l0.out, cur + (k + 1) * rows * l0.out,
-                  csum + k * l0.out);
-  } else {
-    fold_layer0_backward<P, A>(rows, l0.out, base + fr.z0, wc, cur, csum);
-  }
-  // Stream 0 of cur is now zbar0.
-  float* dw0 = part + gl.w[0];
-  backend::sgemm(Trans::kYes, Trans::kNo, l0.out, l0.in, rows, 1.0f, cur,
-                 base + fr.x, 0.0f, dw0);
-  for (std::int64_t o = 0; o < l0.out; ++o)
-    for (int k = 0; k < 3; ++k) dw0[o * l0.in + k] += csum[k * l0.out + o];
-  if (l0.bias != nullptr) column_sums(rows, l0.out, cur, part + gl.b[0]);
-  if (xbar != nullptr)
-    backend::sgemm(Trans::kNo, Trans::kNo, rows, l0.in, l0.out, 1.0f, cur,
-                   l0.weight, 0.0f, xbar);
+  // cur now holds zbar0, layer 0's value pre-activation adjoint.
+  wgrad<P, 1>(cur, ld0, l0.out, s.x, l0.in, kRows, s.accw.front());
+  row_sums<P>(cur, 1, ld0, kRows, s.accb.front());
+  if (xbar == nullptr) return;
+  const Cols cc = cols<P>(g.c);
+  with_np(cc.np, [&](auto np) {
+    constexpr int NP = decltype(np)::value;
+    layer_pass<P, 1, NP>(
+        cur, ld0, kRows, l0.out, net.bwd[0], cc.panels,
+        [&](int r0, std::int64_t c, auto& acc) {
+          for (int r = 0; r < rows_of(acc); ++r)
+            for (int v = 0; v < NP; ++v)
+              P::store(xbar + (r0 + r) * ldc + c + v * W, acc[r][0][v]);
+        });
+  });
 }
 
 // Backward over every block: block blk's weight and bias gradients go to
-// partials + blk * gl.total and its layer-0 input adjoint (when xbar is
-// not null) to xbar + blk * kBlockRows * in0.
-void run_backward(const Grid& g, const std::vector<Layer>& layers,
-                  Activation act, const Frame& fr, const float* saved,
-                  const float* grad, const GradLayout& gl, float* partials,
-                  float* xbar) {
+// partials + blk * gl.total and, when xbar is not null, query b's
+// latent-input adjoint to xbar + b * 8 * ldc (corner j at j * ldc).
+template <class P, Activation A>
+void run_backward(const Grid& g, const float* coords,
+                  const std::vector<Layer>& layers, const float* grad,
+                  const GradLayout& gl, float* partials, float* xbar) {
   const std::int64_t total = g.n * g.q;
-  std::int64_t wmax = 0;
-  for (const Layer& l : layers) wmax = std::max(wmax, l.out);
-  dispatch(act, [&](auto lanes, auto tag) {
-    using P = decltype(lanes);
-    using Tag = decltype(tag);
-    parallel_for(
-        block_count(g),
-        [&](std::int64_t blk0, std::int64_t blk1) {
-          backend::Workspace& ws = backend::local_workspace();
-          const backend::Workspace::Mark mark = ws.mark();
-          const std::int64_t out0 = layers.front().out;
-          float* wc = ws.alloc(static_cast<std::size_t>(3 * out0));
-          float* csum = ws.alloc(static_cast<std::size_t>(3 * out0));
-          float* ga =
-              ws.alloc(static_cast<std::size_t>(6 * kBlockRows * wmax));
-          float* gb =
-              ws.alloc(static_cast<std::size_t>(6 * kBlockRows * wmax));
-          coord_columns(layers.front(), wc);
-          for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-            const std::int64_t q0 = blk * kBlockQueries;
-            backward_block<P, Tag::value>(
-                layers, fr, gl, wc, q0, std::min(kBlockQueries, total - q0),
-                total, saved + blk * fr.total, grad, partials + blk * gl.total,
-                ga, gb, csum,
-                xbar == nullptr
-                    ? nullptr
-                    : xbar + blk * kBlockRows * layers.front().in);
+  const std::size_t L = layers.size();
+  const std::int64_t ldx = cols<P>(layers.front().in).ld;
+  const std::int64_t ld0 = cols<P>(layers.front().out).ld;
+  const std::int64_t ldc = cols<P>(g.c).ld;
+  const std::int64_t ldmax = widest_ld<P>(layers);
+  backend::Workspace& ws0 = backend::local_workspace();
+  const backend::Workspace::Mark mark0 = ws0.mark();
+  const Net net = make_net<P>(layers, /*backward=*/true, ws0);
+  const float* lc = channels_last(g, ws0);
+  parallel_for(
+      block_count(g),
+      [&](std::int64_t blk0, std::int64_t blk1) {
+        backend::Workspace& ws = backend::local_workspace();
+        const backend::Workspace::Mark mark = ws.mark();
+        auto take = [&ws](std::int64_t floats) {
+          return ws.alloc(static_cast<std::size_t>(floats));
+        };
+        BwdScratch s;
+        s.x = padded(nullptr, 0, kRows * ldx, ws);
+        s.geo = take(4 * kRows);
+        s.gm = take(kMembers * ldmax);
+        for (std::size_t l = 0; l + 1 < std::max<std::size_t>(L, 2); ++l) {
+          s.h.push_back(take(kRows * kStreams * ldmax));
+          s.d.push_back(take(kRows * 3 * ldmax));
+          s.z.push_back(l == 0 ? nullptr : take(kRows * kStreams * ldmax));
+        }
+        s.m = take(kMembers * ldmax);
+        s.mbar = take(kMembers * ldmax);
+        s.a = take(kRows * kStreams * ldmax);
+        s.b = take(kRows * kStreams * ldmax);
+        std::int64_t acc_floats = 3 * ld0;
+        for (const Layer& l : layers)
+          acc_floats += l.out * cols<P>(l.in).ld + cols<P>(l.out).ld;
+        float* accs = take(acc_floats);
+        s.csum = accs;
+        float* p = accs + 3 * ld0;
+        for (const Layer& l : layers) {
+          s.accw.push_back(p);
+          p += l.out * cols<P>(l.in).ld;
+          s.accb.push_back(p);
+          p += cols<P>(l.out).ld;
+        }
+        for (std::int64_t blk = blk0; blk < blk1; ++blk) {
+          std::fill(accs, accs + acc_floats, 0.0f);
+          const std::int64_t b0 = blk * kBlockQueries;
+          const std::int64_t b1 = std::min(b0 + kBlockQueries, total);
+          for (std::int64_t b = b0; b < b1; ++b)
+            backward_tile<P, A>(
+                g, lc, coords, b, total, net, grad, s, xbar == nullptr ? nullptr : xbar + b * kRows * ldc);
+          // The block's accumulators, unpadded, are its partials.
+          float* part = partials + blk * gl.total;
+          for (std::size_t l = 0; l < L; ++l) {
+            const Layer& ly = layers[l];
+            const std::int64_t ldi = cols<P>(ly.in).ld;
+            for (std::int64_t o = 0; o < ly.out; ++o)
+              std::copy(s.accw[l] + o * ldi, s.accw[l] + o * ldi + ly.in,
+                        part + gl.w[l] + o * ly.in);
+            if (ly.bias != nullptr)
+              std::copy(s.accb[l], s.accb[l] + ly.out, part + gl.b[l]);
           }
-          ws.release(mark);
-        },
-        /*grain=*/1);
-  });
+          for (std::int64_t o = 0; o < layers.front().out; ++o)
+            for (int k = 0; k < 3; ++k)
+              part[gl.w[0] + o * layers.front().in + k] += s.csum[k * ld0 + o];
+        }
+        ws.release(mark);
+      },
+      /*grain=*/1);
+  ws0.release(mark0);
 }
 
 // grad[e] += the sum over blocks, in block order, of
@@ -611,28 +935,35 @@ void reduce_blocks_into(const float* partials, std::int64_t nblocks,
   }
 }
 
-// Scatter-adds the latent columns of the layer-0 input adjoint into the
-// latent gradient. Parallel over samples, whose latent slabs are disjoint;
-// within a sample, queries and corners go in a fixed order.
+// Adds the latent-input adjoint (row j of query b at (b * 8 + j) * ldc)
+// into the latent gradient: per sample, whose latent slabs are disjoint,
+// summed channels-last over its queries and corners in a fixed order, then
+// added in.
 void scatter_latent(const Grid& g, const float* coords, const float* xbar,
-                    float* glat) {
-  const std::int64_t total = g.n * g.q, in0 = 3 + g.c;
+                    std::int64_t ldc, float* glat) {
   const std::int64_t slab = g.lt * g.lz * g.lx;
   parallel_for(
       g.n,
       [&](std::int64_t n0, std::int64_t n1) {
-        for (std::int64_t b = n0 * g.q; b < n1 * g.q; ++b) {
-          const std::int64_t blk = b / kBlockQueries;
-          const std::int64_t q0 = blk * kBlockQueries;
-          const std::int64_t nb = std::min(kBlockQueries, total - q0);
-          const Cell cell = locate(g, coords, b);
-          const float* xb = xbar + blk * kBlockRows * in0;
-          for (int j = 0; j < 8; ++j) {
-            const float* src = xb + (j * nb + b - q0) * in0 + 3;
-            float* dst = glat + cell.base + corner_offset(g, j);
-            for (std::int64_t c = 0; c < g.c; ++c) dst[c * slab] += src[c];
+        backend::Workspace& ws = backend::local_workspace();
+        const backend::Workspace::Mark mark = ws.mark();
+        float* acc = ws.alloc(static_cast<std::size_t>(slab * g.c));
+        for (std::int64_t n = n0; n < n1; ++n) {
+          std::fill(acc, acc + slab * g.c, 0.0f);
+          for (std::int64_t b = n * g.q; b < (n + 1) * g.q; ++b) {
+            const Cell cell = locate(g, coords, b);
+            for (int j = 0; j < kRows; ++j) {
+              const float* src = xbar + (b * kRows + j) * ldc;
+              float* dst = acc + (cell.voxel + corner_offset(g, j)) * g.c;
+              for (std::int64_t c = 0; c < g.c; ++c) dst[c] += src[c];
+            }
+          }
+          for (std::int64_t c = 0; c < g.c; ++c) {
+            float* dst = glat + (n * g.c + c) * slab;
+            for (std::int64_t v = 0; v < slab; ++v) dst[v] += acc[v * g.c + c];
           }
         }
+        ws.release(mark);
       },
       /*grain=*/1);
 }
@@ -642,7 +973,10 @@ void scatter_latent(const Grid& g, const float* coords, const float* xbar,
 void forward(const Grid& grid, const float* coords,
              const std::vector<Layer>& layers, nn::Activation act,
              const std::array<float*, kMembers>& outs) {
-  run_forward(grid, coords, layers, act, make_frame(layers), nullptr, outs);
+  dispatch(simd::enabled(), act, [&](auto lanes, auto tag) {
+    run_forward<decltype(lanes), decltype(tag)::value>(grid, coords, layers,
+                                                       outs);
+  });
 }
 
 }  // namespace jet
@@ -665,8 +999,7 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
     if (fc->has_bias()) parents.push_back(fc->bias());
     layers.push_back({fc->in_features(), fc->out_features(),
                       fc->weight().value().data(),
-                      fc->has_bias() ? fc->bias().value().data() : nullptr,
-                      nullptr});
+                      fc->has_bias() ? fc->bias().value().data() : nullptr});
   }
   const std::int64_t total = grid.n * q, width = layers.back().out;
   Tensor out = Tensor::uninitialized(Shape{jet::kMembers * total, width});
@@ -678,50 +1011,45 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
   if (!ad::NoGradGuard::active())
     for (const ad::Var& p : parents)
       needs_grad = needs_grad || p.requires_grad();
-  const jet::Frame fr = jet::make_frame(layers);
-  Tensor saved;
-  if (needs_grad)
-    saved = Tensor::uninitialized(Shape{jet::block_count(grid) * fr.total});
-
-  // Weight panels packed once per call put every forward GEMM on the
-  // prepacked path, the skinny output layer's fast kernel included.
-  backend::Workspace& ws = backend::local_workspace();
-  const backend::Workspace::Mark mark = ws.mark();
-  for (jet::Layer& l : layers) {
-    if (l.in > backend::sgemm_prepacked_max_k()) continue;
-    float* panels = ws.alloc(backend::sgemm_prepack_b_floats(l.in, l.out));
-    backend::sgemm_prepack_b(backend::Trans::kYes, l.in, l.out, l.weight,
-                             panels);
-    l.packed = panels;
-  }
-  jet::run_forward(grid, coords.data(), layers, act, fr,
-                   needs_grad ? saved.data() : nullptr, outs);
-  ws.release(mark);
+  // The backward differentiates the forward's arithmetic, so it takes the
+  // forward's lane type even if simd::set_force_scalar flips in between.
+  const bool vec = simd::enabled();
+  jet::dispatch(vec, act, [&](auto lanes, auto tag) {
+    jet::run_forward<decltype(lanes), decltype(tag)::value>(
+        grid, coords.data(), layers, outs);
+  });
   if (!needs_grad) return ad::Var(std::move(out), /*requires_grad=*/false);
 
   return ad::make_op(
       std::move(out), std::move(parents),
-      [grid, fr, saved, geometry = coords.clone(), wslot, bslot,
-       act](ad::Node& n) {
+      [grid, geometry = coords.clone(), wslot, bslot, act, vec](ad::Node& n) {
         std::vector<jet::Layer> ls;
         for (std::size_t l = 0; l < wslot.size(); ++l) {
           const Tensor& w = n.parents[wslot[l]]->value;
           ls.push_back({w.dim(1), w.dim(0), w.data(),
                         bslot[l] != 0 ? n.parents[bslot[l]]->value.data()
-                                      : nullptr,
-                        nullptr});
+                                      : nullptr});
         }
         const jet::GradLayout gl = jet::grad_layout(ls);
         const std::int64_t nblocks = jet::block_count(grid);
         ad::Node& lat = *n.parents[0];
+        // The backward regathers the layer-0 inputs from the latent.
+        jet::Grid g = grid;
+        g.latent = lat.value.data();
         Tensor partials = Tensor::uninitialized(Shape{nblocks * gl.total});
-        Tensor xbar;
-        if (lat.requires_grad)
-          xbar = Tensor::uninitialized(
-              Shape{nblocks * jet::kBlockRows * ls.front().in});
-        jet::run_backward(grid, ls, act, fr, saved.data(), n.grad.data(), gl,
-                          partials.data(),
-                          lat.requires_grad ? xbar.data() : nullptr);
+        jet::dispatch(vec, act, [&](auto lanes, auto tag) {
+          using P = decltype(lanes);
+          const std::int64_t ldc = jet::cols<P>(g.c).ld;
+          Tensor xbar;
+          if (lat.requires_grad)
+            xbar = Tensor::uninitialized(Shape{g.n * g.q * jet::kRows * ldc});
+          jet::run_backward<P, decltype(tag)::value>(
+              g, geometry.data(), ls, n.grad.data(), gl,
+              partials.data(), lat.requires_grad ? xbar.data() : nullptr);
+          if (lat.requires_grad)
+            jet::scatter_latent(g, geometry.data(), xbar.data(), ldc,
+                                lat.ensure_grad().data());
+        });
         for (std::size_t l = 0; l < ls.size(); ++l) {
           ad::Node& w = *n.parents[wslot[l]];
           if (w.requires_grad)
@@ -735,9 +1063,6 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
                                     gl.b[l], ls[l].out,
                                     b.ensure_grad().data());
         }
-        if (lat.requires_grad)
-          jet::scatter_latent(grid, geometry.data(), xbar.data(),
-                              lat.ensure_grad().data());
       });
 }
 

@@ -7,20 +7,36 @@
 // blended with the trilinear weights and their coordinate derivatives.
 //
 // decode_jet() runs that computation as ONE autodiff node with a
-// hand-written backward. Forward, per fixed block of kBlockQueries queries
-// (8 corner rows each):
+// hand-written backward, on one fused small-MLP kernel. A tile is one
+// query's 8 corner rows; it is gathered once and carried through every
+// layer. Activations are row-major with the features in column panels of
+// one or two SIMD vectors (up to 32 columns per panel on AVX-512, 16 on
+// AVX2, 8 on SSE2, 2 on the scalar lanes), padded to whole panels, so
+// every width runs the same kernel. Each layer product is a register tile
+// of rows x streams x panel vectors that stays in registers over the whole
+// input dimension, against a per-call weight panel small enough for L1:
 //
-//   gather      [coords | latent] rows and the w / dw blend tables
-//   layer 0     the value GEMM only: the tangent of stream k is column k of
-//               W0 and the curvatures are zero, so the seeds fold away
-//   layer l>0   one GEMM over the six streams stacked row-wise
-//   hidden act  one SIMD pass: h = f(z), t = f' tau, c = f'' tau^2 + f' kappa
-//   blend       value = sum w y, d/dk = sum dw_k y + w t_k,
-//               d2/dk2 = sum 2 dw_k t_k + w c_k
+//   gather      [coords | latent] rows (the latent copied channels-last
+//               once per call) and the w / dw blend weights
+//   layer 0     the value product only: the tangent of stream k is column
+//               k of W0 and the curvatures are zero, so the seeds fold
+//               into the write-back
+//   layer l>0   one 6-stream product; bias and the jet activation
+//               h = f(z), t = f' tau, c = f'' tau^2 + f' kappa are applied
+//               in the write-back
+//   blend       value = sum w h, d/dk = sum dw_k h + w t_k,
+//               d2/dk2 = sum 2 dw_k t_k + w c_k over the last hidden jet
+//   output      the linear output layer projects the six blended members
+//               once per query, which equals blending 8 projected corners
 //
-// Backward, per block, over the per-block intermediates the forward saved:
-// the blend adjoint, then per layer one stacked weight-gradient GEMM, one
-// input-gradient GEMM and one fused activation pass
+// The forward saves nothing. The backward walks the same tiles: it
+// regathers a tile and reruns its hidden layers, keeping every jet,
+// pre-activation jet and activation derivative, then computes the output
+// layer's weight gradient against the blended members and its input
+// adjoint, the blend adjoint to every corner, and per hidden layer from
+// the top the activation adjoint (fused into the write-back of the
+// product that made its input adjoint), the weight-gradient partial and
+// the input-gradient product:
 //
 //   zbar       = f' hbar + f'' (sum_k tau_k tbar_k + sum_m kappa_m cbar_m)
 //                + f''' sum_m tau_m^2 cbar_m
@@ -28,13 +44,15 @@
 //   kappabar_m = f' cbar_m
 //
 // where f', f'', f''' are taken at the pre-activation z. Layer 0's
-// tangent-column gradients are column sums. Per-block weight gradients are
-// reduced in block order and the latent gradient is scatter-added per
-// sample in query order, so every output and gradient is bit-identical at
-// every MFN_NUM_THREADS.
+// tangent-column gradients are row sums. Work is carved into fixed blocks
+// of kBlockQueries queries. A block's weight gradients accumulate in
+// query order, blocks are reduced in block order, and the latent gradient
+// is summed per sample in query order, so every member and gradient is
+// bit-identical at every MFN_NUM_THREADS. The backward takes the
+// forward's lane type (vector or scalar).
 //
 // DecodePlan::execute_derivatives (the serving derivative replay) runs the
-// same forward over its prepacked weights.
+// same forward over its snapshot's weights.
 #pragma once
 
 #include <algorithm>
@@ -74,7 +92,6 @@ struct Layer {
   std::int64_t in = 0, out = 0;
   const float* weight = nullptr;  // dense (out, in)
   const float* bias = nullptr;    // out entries, or null
-  const float* packed = nullptr;  // sgemm_prepack_b panels, or null
 };
 
 /// The latent grid and query layout of one decode.
@@ -89,8 +106,7 @@ enum Member : int { kValue, kDt, kDz, kDx, kDzz, kDxx, kMembers };
 
 /// Forward jet decode of all n*q queries, no tape. `coords` holds (n*q, 3)
 /// continuous grid indices; outs[m] receives member m as (n*q, out)
-/// row-major. Layers with prepacked panels run sgemm_prepacked_nt, the
-/// others sgemm.
+/// row-major.
 void forward(const Grid& grid, const float* coords,
              const std::vector<Layer>& layers, nn::Activation act,
              const std::array<float*, kMembers>& outs);

@@ -244,8 +244,7 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   for (const auto& layer : layers)
     plan->jet_layers_.push_back(
         {layer.in, layer.out, layer.weight.data(),
-         layer.bias.empty() ? nullptr : layer.bias.data(),
-         layer.packed.data()});
+         layer.bias.empty() ? nullptr : layer.bias.data()});
   return plan;
 }
 

@@ -37,7 +37,7 @@
 // error bounds.
 //
 // execute_derivatives() covers predict_with_derivatives by running the
-// derivative node's forward (core/decode_jet.h) over the prepacked
+// derivative node's forward (core/decode_jet.h) over the snapshot's fp32
 // weights — no tape and no per-call tensors beyond the six outputs.
 //
 // Shapes the compiler cannot lower (a decoder layer wider than the
@@ -161,7 +161,7 @@ class DecodePlan {
 
   /// Replay with exact forward-mode coordinate derivatives (the
   /// predict_with_derivatives bundle): the derivative node's forward over
-  /// the prepacked weights.
+  /// the snapshot's fp32 weights.
   PlannedDerivs execute_derivatives(const Tensor& latent,
                                     const Tensor& query_coords) const;
 
@@ -191,7 +191,7 @@ class DecodePlan {
   std::int64_t off_w_ = 0;      // trilinear weights, one per block row
   std::int64_t nblocks_ = 0;
 
-  // Derivative replay: the snapshot's layers with their prepacked panels.
+  // Derivative replay: the snapshot's fp32 layers.
   std::vector<jet::Layer> jet_layers_;
 };
 

@@ -756,23 +756,20 @@ Tensor conv3d_forward(const Tensor& x, const Tensor& weight,
 
 namespace {
 
-// Tail of conv3d_backward: reduce the per-worker weight/bias partials
-// into the output gradients.
+// Tail of conv3d_backward: sum the per-sample weight/bias partials into
+// the output gradients, in sample order.
 void reduce_grad_partials(Conv3dGrads& grads, const Tensor& gw_part,
-                          const Tensor& gb_part, int W, std::int64_t F,
-                          std::int64_t CK, bool had_bias) {
+                          const Tensor& gb_part, std::int64_t N,
+                          std::int64_t F, std::int64_t CK, bool had_bias) {
   float* pgw = grads.gweight.data();
-  for (int w = 0; w < W; ++w) {
-    const float* part = gw_part.data() + static_cast<std::size_t>(w) *
-                                             static_cast<std::size_t>(F * CK);
+  for (std::int64_t n = 0; n < N; ++n) {
+    const float* part = gw_part.data() + n * F * CK;
     for (std::int64_t i = 0; i < F * CK; ++i) pgw[i] += part[i];
   }
   if (had_bias) {
     float* pgb = grads.gbias.data();
-    for (int w = 0; w < W; ++w) {
-      const float* part = gb_part.data() +
-                          static_cast<std::size_t>(w) *
-                              static_cast<std::size_t>(F);
+    for (std::int64_t n = 0; n < N; ++n) {
+      const float* part = gb_part.data() + n * F;
       for (std::int64_t f = 0; f < F; ++f) pgb[f] += part[f];
     }
   }
@@ -834,31 +831,26 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
   }
 
   // gx is per-sample (disjoint slabs), but gweight/gbias sum over the
-  // batch: give every potential worker its own zeroed partial and reduce
-  // after the parallel region. parallel_for_indexed hands out at most
-  // min(pool size, chunks) + 1 slots, so small batches never pay for a
-  // large pool's worth of partials. The partials are Tensors so their
-  // storage cycles through the caching allocator with every other
-  // training-step intermediate.
-  const int W = static_cast<int>(std::min<std::int64_t>(
-      max_parallel_workers(), N + 1));
-  Tensor gw_part = Tensor::zeros(Shape{W, F * CK});
-  Tensor gb_part = had_bias ? Tensor::zeros(Shape{W, F}) : Tensor();
+  // batch: every sample writes its own partial and the partials are
+  // summed in sample order after the parallel region, so the gradients do
+  // not depend on which worker ran which sample. The partials are Tensors
+  // so their storage cycles through the caching allocator with every
+  // other training-step intermediate.
+  Tensor gw_part = Tensor::uninitialized(Shape{N, F * CK});
+  Tensor gb_part = had_bias ? Tensor::uninitialized(Shape{N, F}) : Tensor();
 
-  parallel_for_indexed(
+  parallel_for(
       N,
-      [&](int worker, std::int64_t n0, std::int64_t n1) {
+      [&](std::int64_t n0, std::int64_t n1) {
         backend::Workspace& ws = backend::local_workspace();
-        float* gw = gw_part.data() +
-                    static_cast<std::size_t>(worker) *
-                        static_cast<std::size_t>(F * CK);
         for (std::int64_t n = n0; n < n1; ++n) {
           const backend::Workspace::Mark m = ws.mark();
+          float* gw = gw_part.data() + n * F * CK;
           const float* gy_n = pgy + n * F * L;  // (F, L), no copy
           if (pointwise) {
             // col == x: both products are dense GEMMs on the slabs.
             backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
-                           L, 1.0f, gy_n, px + n * in_slab, 1.0f, gw, &ws);
+                           L, 1.0f, gy_n, px + n * in_slab, 0.0f, gw, &ws);
             backend::sgemm(backend::Trans::kYes, backend::Trans::kNo, CK, L,
                            F, 1.0f, pw, gy_n, 0.0f,
                            grads.gx.data() + n * in_slab, &ws);
@@ -872,17 +864,17 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
             float* col = ws.alloc(static_cast<std::size_t>(CK * L));
             vol2col(px + n * in_slab, g, col);
             backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
-                           L, 1.0f, gy_n, col, 1.0f, gw, &ws);
+                           L, 1.0f, gy_n, col, 0.0f, gw, &ws);
             conv_same_direct_sample(gy_n, Apb, g.C, gb, {},
                                     grads.gx.data() + n * in_slab, ws);
           } else {
             VolPanelCtx ctx{px + n * in_slab,
                             grads.gx.data() + n * in_slab, &g};
-            // dW_partial += gy_n * col^T: the transposed column operand is
-            // packed straight from the volume (beta = 1 accumulation).
+            // dW_partial = gy_n * col^T: the transposed column operand is
+            // packed straight from the volume.
             backend::PackBSource srcT{&pack_volT_panel, &ctx};
             backend::sgemm_packed_b(backend::Trans::kNo, F, CK, L, 1.0f,
-                                    gy_n, srcT, 1.0f, gw, {}, &ws);
+                                    gy_n, srcT, 0.0f, gw, {}, &ws);
             // dX_n = col2vol(W^T * gy_n), one NR-column strip at a time
             // with the scatter fused behind each strip — dcol never
             // exists.
@@ -892,11 +884,9 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
                                       pw, gy_n, sink, &ws);
           }
           if (had_bias) {
-            float* gb = gb_part.data() +
-                        static_cast<std::size_t>(worker) *
-                            static_cast<std::size_t>(F);
+            float* gb = gb_part.data() + n * F;
             for (std::int64_t f = 0; f < F; ++f)
-              gb[f] += static_cast<float>(span_sum(gy_n + f * L, L));
+              gb[f] = static_cast<float>(span_sum(gy_n + f * L, L));
           }
           ws.release(m);
         }
@@ -904,7 +894,7 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
       /*grain=*/1);
 
   ws0.release(m0);
-  reduce_grad_partials(grads, gw_part, gb_part, W, F, CK, had_bias);
+  reduce_grad_partials(grads, gw_part, gb_part, N, F, CK, had_bias);
   return grads;
 }
 

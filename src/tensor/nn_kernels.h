@@ -60,8 +60,9 @@ struct Conv3dGrads {
   Tensor gbias;   // (F); undefined when forward had no bias
 };
 
-/// Implicit-GEMM backward, batch-parallel with per-worker weight/bias
-/// partials reduced at the end. dW packs the transposed column operand
+/// Implicit-GEMM backward, batch-parallel with per-sample weight/bias
+/// partials summed in sample order at the end, so the gradients are
+/// bitwise identical at every pool size. dW packs the transposed column operand
 /// straight from the volume; dX runs W^T x gy in NR-column strips
 /// (backend::sgemm_col_strips) with a fused col2vol scatter per strip, so
 /// neither the CKxL column matrix nor the dcol matrix exists. The bias

@@ -1,11 +1,16 @@
 // Implicit-GEMM conv3d: parity of the pack-seam / zero-pack paths against
 // the seed references across strides, paddings, and ragged channel counts,
 // under both SIMD tiers via the runtime dispatch seam; fused
-// conv->batchnorm(eval)->activation epilogues; the caching tensor
-// allocator under a real training step.
+// conv->batchnorm(eval)->activation epilogues; bitwise equality of serial
+// and pooled backward passes, alone and inside a full training step; the
+// caching tensor allocator under a real training step.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <future>
+#include <vector>
 
 #include "backend/simd.h"
 #include "backend/workspace.h"
@@ -17,9 +22,34 @@
 #include "optim/adam.h"
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
+#include "threading/thread_pool.h"
 
 namespace mfn {
 namespace {
+
+// Real concurrency even on single-core hosts (runs before the first
+// ThreadPool::global() touch). An explicit MFN_NUM_THREADS wins.
+const bool kForcePool = [] {
+  setenv("MFN_NUM_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// fn() run inside a pool worker, where a nested parallel_for runs
+// serially: the 1-thread result the pooled run must reproduce.
+template <class F>
+auto run_in_pool_worker(F&& fn) {
+  std::promise<decltype(fn())> out;
+  auto fut = out.get_future();
+  ThreadPool::global().submit([&] { out.set_value(fn()); });
+  return fut.get();
+}
 
 // Flip the runtime dispatch seam for the duration of a scope.
 class ScopedForceScalar {
@@ -155,6 +185,69 @@ TEST(ConvImplicit, FusedEpilogueMatchesUnfusedChain) {
     unfused = relu(unfused);
     expect_tensors_close(fused, unfused, 1e-4f, 1e-3f,
                          "fused conv->BN(eval)->relu vs unfused chain");
+  }
+}
+
+// The weight and bias gradients sum over the batch. Keyed by sample and
+// summed in sample order, they do not depend on how the pool's dynamic
+// chunk schedule spread the samples over workers.
+TEST(ConvImplicit, SerialBackwardInPoolWorkerIsBitwisePooledBackward) {
+  ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  Rng rng(21);
+  Tensor x = Tensor::randn(Shape{8, 6, 4, 8, 16}, rng);
+  Tensor w = Tensor::randn(Shape{10, 6, 3, 3, 3}, rng, 0.3f);
+  Conv3dSpec spec;  // 3x3x3 stride 1 pad 1
+  Tensor gy = Tensor::randn(conv3d_output_shape(x.shape(), w.shape(), spec),
+                            rng);
+  const Conv3dGrads serial = run_in_pool_worker(
+      [&] { return conv3d_backward(x, w, /*had_bias=*/true, spec, gy); });
+  for (int rep = 0; rep < 3; ++rep) {
+    const Conv3dGrads pooled = conv3d_backward(x, w, true, spec, gy);
+    EXPECT_TRUE(bitwise_equal(serial.gx, pooled.gx)) << "repeat " << rep;
+    EXPECT_TRUE(bitwise_equal(serial.gweight, pooled.gweight))
+        << "repeat " << rep;
+    EXPECT_TRUE(bitwise_equal(serial.gbias, pooled.gbias)) << "repeat " << rep;
+  }
+}
+
+// One physics-constrained training step (encoder, derivative bundle,
+// equation loss) and its backward: every parameter gradient of a pooled
+// run equals the serial run's bit for bit.
+TEST(ConvImplicit, SerialTrainingStepInPoolWorkerIsBitwisePooledStep) {
+  ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  Rng rng(22);
+  core::MeshfreeFlowNet model(core::MFNConfig::small_default(), rng);
+  const std::int64_t N = 4, Q = 96;
+  data::BatchedSample batch;
+  batch.lr_patches = Tensor::randn(Shape{N, 4, 4, 8, 8}, rng, 0.5f);
+  batch.query_coords = Tensor::uninitialized(Shape{N, Q, 3});
+  for (std::int64_t r = 0; r < N * Q; ++r) {
+    batch.query_coords.data()[r * 3 + 0] =
+        static_cast<float>(rng.uniform(0.0, 3.0));
+    batch.query_coords.data()[r * 3 + 1] =
+        static_cast<float>(rng.uniform(0.0, 7.0));
+    batch.query_coords.data()[r * 3 + 2] =
+        static_cast<float>(rng.uniform(0.0, 7.0));
+  }
+  batch.targets = Tensor::randn(Shape{N, Q, 4}, rng, 0.5f);
+  core::EquationLossConfig eq;
+  eq.constants = core::RBConstants::from_ra_pr(1e6, 1.0);
+  eq.cell_size = {0.1, 0.125, 0.25};
+  const auto params = model.parameters();
+  auto step = [&] {
+    for (ad::Var* p : params) p->zero_grad();
+    ad::backward(core::batched_step_loss(model, batch, eq, 0.0125).loss);
+    std::vector<Tensor> grads;
+    for (const ad::Var* p : params) grads.push_back(p->grad().clone());
+    return grads;
+  };
+  const std::vector<Tensor> serial = run_in_pool_worker(step);
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::vector<Tensor> pooled = step();
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(serial[i], pooled[i]))
+          << "repeat " << rep << ", parameter " << i;
   }
 }
 

@@ -1,8 +1,11 @@
 // The fused derivative-bundle node (src/core/decode_jet.*) against the tape
 // composition it replaced, which lives on here as the reference: the
 // values, the five derivatives and the gradients of the latent and of every
-// MLP weight and bias, for softplus, tanh and ReLU over several widths and
-// query shapes; bitwise equality of a serial and a pooled run; a warmed
+// MLP weight and bias, for softplus, tanh and ReLU over decoder widths that
+// are ragged against every SIMD tier, wider than one column panel, or a
+// single output, and over several query shapes, on the vector and the
+// scalar lanes, and for a decoder without a hidden layer; bitwise
+// equality of a serial and a pooled run; a warmed
 // step that never reaches the heap; and rejection of non-finite
 // coordinates.
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "autodiff/ops.h"
+#include "backend/simd.h"
 #include "backend/workspace.h"
 #include "common/error.h"
 #include "core/decode_jet.h"
@@ -41,14 +45,28 @@ const bool kForcePool = [] {
 constexpr std::int64_t kC = 5, kOut = 4, kLT = 4, kLZ = 8, kLX = 8;
 
 core::DecoderConfig decoder_config(nn::Activation act,
-                                   std::vector<std::int64_t> hidden) {
+                                   std::vector<std::int64_t> hidden,
+                                   std::int64_t c = kC,
+                                   std::int64_t out = kOut) {
   core::DecoderConfig cfg;
-  cfg.latent_channels = kC;
-  cfg.out_channels = kOut;
+  cfg.latent_channels = c;
+  cfg.out_channels = out;
   cfg.hidden = std::move(hidden);
   cfg.activation = act;
   return cfg;
 }
+
+// Flip the runtime scalar override for the duration of a scope.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool v) : prev_(simd::force_scalar()) {
+    simd::set_force_scalar(v);
+  }
+  ~ScopedForceScalar() { simd::set_force_scalar(prev_); }
+
+ private:
+  bool prev_;
+};
 
 // (n, q, 3) coordinates over the grid, including the clamped margins past
 // either end of each axis.
@@ -175,9 +193,10 @@ ad::Var bundle_loss(const DecodeDerivs& d, const std::array<Tensor, 6>& r) {
   return loss;
 }
 
-std::array<Tensor, 6> loss_weights(Rng& rng, std::int64_t rows) {
+std::array<Tensor, 6> loss_weights(Rng& rng, std::int64_t rows,
+                                   std::int64_t out = kOut) {
   std::array<Tensor, 6> r;
-  for (Tensor& t : r) t = Tensor::randn(Shape{rows, kOut}, rng);
+  for (Tensor& t : r) t = Tensor::randn(Shape{rows, out}, rng);
   return r;
 }
 
@@ -225,44 +244,101 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
              0;
 }
 
+using Shapes = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+// One decoder of the sweep: latent channels, outputs, hidden widths, and
+// the (n, q) query shapes it runs.
+struct JetCase {
+  std::int64_t c, out;
+  std::vector<std::int64_t> hidden;
+  Shapes shapes;
+};
+
 TEST(DecodeJet, MatchesTapeReference) {
-  const std::vector<std::vector<std::int64_t>> widths = {
-      {8}, {16, 16}, {32, 32}};
-  const std::pair<std::int64_t, std::int64_t> shapes[] = {
-      {1, 1}, {3, 257}, {4, 384}};
-  double worst_member = 0.0, worst_grad = 0.0;
-  std::uint64_t seed = 100;
-  for (nn::Activation act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
-                             nn::Activation::kReLU})
-    for (const auto& hidden : widths)
-      for (const auto& [n, q] : shapes) {
-        SCOPED_TRACE(::testing::Message()
-                     << "activation " << static_cast<int>(act) << ", hidden "
-                     << hidden.size() << " x " << hidden.front() << ", n "
-                     << n << ", q " << q);
-        Rng rng(++seed);
-        ContinuousDecoder dec(decoder_config(act, hidden), rng);
-        ad::Var latent(Tensor::randn(Shape{n, kC, kLT, kLZ, kLX}, rng, 0.5f),
-                       true);
-        const Tensor coords = make_coords(rng, n, q);
-        const std::array<Tensor, 6> r = loss_weights(rng, n * q);
-        const BundleRun got = run_bundle(dec, latent, coords, r, true);
-        const BundleRun want = run_bundle(dec, latent, coords, r, false);
-        for (std::size_t m = 0; m < want.members.size(); ++m) {
-          const double e = rel_err(got.members[m], want.members[m]);
-          worst_member = std::max(worst_member, e);
-          EXPECT_LT(e, 1e-5) << "member " << m;
+  const Shapes all = {{1, 1}, {3, 257}, {4, 384}};
+  const Shapes small = {{1, 1}, {2, 65}};
+  // With one output and one query every member is a single number, so
+  // the error relative to its largest entry is a pointwise relative error
+  // that cancellation in d/dz alone pushes past 1e-5 (on any summation
+  // order); the single-output decoder runs the multi-query shapes.
+  const Shapes multi = {{3, 257}, {4, 384}};
+  const JetCase cases[] = {
+      {kC, kOut, {8}, all},
+      {kC, kOut, {16, 16}, all},
+      {kC, kOut, {32, 32}, all},
+      {kC, kOut, {24, 24}, all},    // ragged on 16-, 8- and 4-lane tiers
+      {kC, kOut, {64, 64}, all},    // the DecoderConfig default
+      {kC, kOut, {400, 16}, small}, // wider than one column panel
+      {8, kOut, {16}, all},         // the dist-tiny decoder
+      {kC, 1, {16, 16}, multi},     // a single output
+  };
+  // The vector lanes, then the scalar lanes (a no-op on a scalar build).
+  for (const bool scalar : {false, true}) {
+    ScopedForceScalar lanes(scalar);
+    double worst_member = 0.0, worst_grad = 0.0;
+    std::uint64_t seed = 100;
+    for (nn::Activation act :
+         {nn::Activation::kSoftplus, nn::Activation::kTanh,
+          nn::Activation::kReLU})
+      for (const JetCase& jc : cases)
+        for (const auto& [n, q] : jc.shapes) {
+          SCOPED_TRACE(::testing::Message()
+                       << (scalar ? "scalar" : "vector") << " lanes, "
+                       << "activation " << static_cast<int>(act)
+                       << ", latent " << jc.c << ", hidden "
+                       << jc.hidden.size() << " x " << jc.hidden.front()
+                       << ", out " << jc.out << ", n " << n << ", q " << q);
+          Rng rng(++seed);
+          ContinuousDecoder dec(decoder_config(act, jc.hidden, jc.c, jc.out),
+                                rng);
+          ad::Var latent(
+              Tensor::randn(Shape{n, jc.c, kLT, kLZ, kLX}, rng, 0.5f), true);
+          const Tensor coords = make_coords(rng, n, q);
+          const std::array<Tensor, 6> r = loss_weights(rng, n * q, jc.out);
+          const BundleRun got = run_bundle(dec, latent, coords, r, true);
+          const BundleRun want = run_bundle(dec, latent, coords, r, false);
+          for (std::size_t m = 0; m < want.members.size(); ++m) {
+            const double e = rel_err(got.members[m], want.members[m]);
+            worst_member = std::max(worst_member, e);
+            EXPECT_LT(e, 1e-5) << "member " << m;
+          }
+          for (std::size_t i = 0; i < want.grads.size(); ++i) {
+            const double e = rel_err(got.grads[i], want.grads[i]);
+            worst_grad = std::max(worst_grad, e);
+            EXPECT_LT(e, 1e-4) << (i == 0 ? "latent" : "parameter")
+                               << " gradient " << i;
+          }
         }
-        for (std::size_t i = 0; i < want.grads.size(); ++i) {
-          const double e = rel_err(got.grads[i], want.grads[i]);
-          worst_grad = std::max(worst_grad, e);
-          EXPECT_LT(e, 1e-4) << (i == 0 ? "latent" : "parameter")
-                             << " gradient " << i;
-        }
-      }
-  std::printf("largest error relative to the largest entry: members %.3g, "
-              "gradients %.3g\n",
-              worst_member, worst_grad);
+    std::printf("%s lanes: largest error relative to the largest entry: "
+                "members %.3g, gradients %.3g\n",
+                scalar ? "scalar" : "vector", worst_member, worst_grad);
+  }
+}
+
+// Without a hidden layer the decoder is linear in its input: the output
+// layer reads the seeded [rel | latent] jet, and the exact second
+// derivatives are zero, so both sides leave only rounding there.
+TEST(DecodeJet, LinearDecoderMatchesTapeReference) {
+  for (const bool scalar : {false, true}) {
+    ScopedForceScalar lanes(scalar);
+    Rng rng(11);
+    ContinuousDecoder dec(decoder_config(nn::Activation::kSoftplus, {}), rng);
+    ad::Var latent(Tensor::randn(Shape{3, kC, kLT, kLZ, kLX}, rng, 0.5f),
+                   true);
+    const Tensor coords = make_coords(rng, 3, 257);
+    const std::array<Tensor, 6> r = loss_weights(rng, 3 * 257);
+    const BundleRun got = run_bundle(dec, latent, coords, r, true);
+    const BundleRun want = run_bundle(dec, latent, coords, r, false);
+    for (std::size_t m = 0; m < 4; ++m)
+      EXPECT_LT(rel_err(got.members[m], want.members[m]), 1e-5)
+          << "member " << m;
+    const double scale = max_abs(want.members[0]);
+    for (std::size_t m = 4; m < 6; ++m)
+      EXPECT_LT(max_abs(got.members[m]), 1e-6 * scale) << "member " << m;
+    for (std::size_t i = 0; i < want.grads.size(); ++i)
+      EXPECT_LT(rel_err(got.grads[i], want.grads[i]), 1e-4)
+          << "gradient " << i;
+  }
 }
 
 // A nested parallel_for runs serially, so a run inside a pool worker is a
