@@ -237,7 +237,8 @@ void QueryBatcher::update_brownout_locked(std::int64_t depth_rows) {
   stats_.brownout_level = brownout_level_;
 }
 
-std::int64_t QueryBatcher::take_batch_locked(std::vector<Request>* batch,
+std::int64_t QueryBatcher::take_batch_locked(FlushReason reason,
+                                             std::vector<Request>* batch,
                                              std::vector<Request>* expired) {
   const auto now = Clock::now();
   // Brownout signals are sampled before this flush drains the queue: the
@@ -316,6 +317,13 @@ std::int64_t QueryBatcher::take_batch_locked(std::vector<Request>* batch,
   }
   if (!batch->empty()) {
     ++stats_.flushes;
+    switch (reason) {
+      case FlushReason::kImmediate: ++stats_.flushes_immediate; break;
+      case FlushReason::kFull: ++stats_.flushes_full; break;
+      case FlushReason::kTarget: ++stats_.flushes_target; break;
+      case FlushReason::kDeadline: ++stats_.flushes_deadline; break;
+      case FlushReason::kWindow: ++stats_.flushes_window; break;
+    }
     stats_.max_flush_rows =
         std::max(stats_.max_flush_rows, static_cast<std::uint64_t>(rows));
     // Queue-wait EWMA over flushes (worst member per flush): the brownout
@@ -343,7 +351,54 @@ std::int64_t QueryBatcher::take_batch_locked(std::vector<Request>* batch,
                 .count());
     }
   }
+  recent_flush_rows_[takes_++ % kRecentFlushes] = rows;
   return rows;
+}
+
+std::optional<QueryBatcher::Deadline> QueryBatcher::deadline_close_locked()
+    const {
+  std::optional<Deadline> earliest;
+  for (const auto& [id, sq] : queues_)
+    for (const Request& r : sq.q)
+      if (r.deadline && (!earliest || *r.deadline < *earliest))
+        earliest = r.deadline;
+  if (!earliest) return std::nullopt;
+  // take_batch_locked expires a request whose estimated decode no longer
+  // fits before its deadline, so a window closing exactly one estimate
+  // early would hand it a batch the wakeup delay had already doomed.
+  return *earliest - 2 * est_us(est_row_ms_, queued_rows_);
+}
+
+std::optional<QueryBatcher::FlushReason> QueryBatcher::hold_window(
+    std::unique_lock<std::mutex>& lk) {
+  if (stop_ || config_.max_wait_us == 0 ||
+      queued_rows_ >= config_.max_batch_rows)
+    return FlushReason::kImmediate;
+  // The window opens from *now*, so requests that trickle in while this
+  // worker was busy decoding the previous batch still coalesce (a window
+  // anchored at the oldest request's arrival is always already expired in
+  // closed-loop steady state, which fragments every batch).
+  const auto expiry =
+      Clock::now() + std::chrono::microseconds(config_.max_wait_us);
+  const std::uint64_t opened_after = takes_;
+  // Only a take writes the ring, and a take ends this window: the target
+  // is fixed for the window's life (0: no history, no target).
+  const std::int64_t target =
+      *std::max_element(recent_flush_rows_.begin(), recent_flush_rows_.end());
+  // Every waiter re-checks every exit when woken, so the submit that
+  // completes the target closes the window whichever worker it wakes: an
+  // idle one opens its own window and finds the exit already open.
+  for (;;) {
+    if (queued_rows_ == 0 || takes_ != opened_after) return std::nullopt;
+    if (stop_) return FlushReason::kImmediate;
+    if (queued_rows_ >= config_.max_batch_rows) return FlushReason::kFull;
+    if (target > 0 && queued_rows_ >= target) return FlushReason::kTarget;
+    const auto now = Clock::now();
+    const std::optional<Deadline> due = deadline_close_locked();
+    if (due && *due <= now && *due < expiry) return FlushReason::kDeadline;
+    if (now >= expiry) return FlushReason::kWindow;
+    cv_pending_.wait_until(lk, due ? std::min(*due, expiry) : expiry);
+  }
 }
 
 void QueryBatcher::worker_loop() {
@@ -354,25 +409,9 @@ void QueryBatcher::worker_loop() {
       std::unique_lock<std::mutex> lk(mu_);
       cv_pending_.wait(lk, [&] { return stop_ || queued_rows_ > 0; });
       if (queued_rows_ == 0) return;  // stop_ set and nothing left to drain
-      if (!stop_ && config_.max_wait_us > 0 &&
-          queued_rows_ < config_.max_batch_rows) {
-        // Sub-max batch: hold the batching window open from *now* so
-        // requests that trickle in while this worker was busy decoding
-        // the previous batch still coalesce (a window anchored at the
-        // oldest request's arrival is always already expired in
-        // closed-loop steady state, which fragments every batch).
-        const auto deadline =
-            Clock::now() + std::chrono::microseconds(config_.max_wait_us);
-        cv_pending_.wait_until(lk, deadline, [&] {
-          return stop_ || queued_rows_ == 0 ||
-                 queued_rows_ >= config_.max_batch_rows;
-        });
-        if (queued_rows_ == 0) {
-          if (stop_) return;
-          continue;  // another worker drained it while we waited
-        }
-      }
-      take_batch_locked(&batch, &expired);
+      const std::optional<FlushReason> reason = hold_window(lk);
+      if (!reason) continue;  // another worker took a batch meanwhile
+      take_batch_locked(*reason, &batch, &expired);
     }
     cv_capacity_.notify_all();
     for (Request& req : expired) fail_expired(req);

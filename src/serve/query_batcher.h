@@ -3,13 +3,23 @@
 // under overload.
 //
 // Clients submit (snapshot, latent, coords) and get a future for the
-// decoded (Q, out_channels) values. Worker threads drain a bounded queue,
-// flushing when the pending row count reaches max_batch_rows or a
-// max_wait batching window (opened when a worker starts assembling a
-// batch) expires; each flush groups requests by (snapshot,
-// latent storage) — the serving workload is many small query batches
-// against few hot latents — and runs one ContinuousDecoder::decode call
-// per group, demultiplexing the result rows back to per-request promises.
+// decoded (Q, out_channels) values. Worker threads drain a bounded queue.
+// A worker that finds fewer than max_batch_rows rows pending holds a
+// batching window open for more arrivals and flushes at its first exit:
+//  - full: the queue reached max_batch_rows;
+//  - target: the queue holds as many rows as the largest of the
+//    batcher's last kRecentFlushes (8) flushes — in closed-loop steady
+//    state, the moment the last client has resubmitted (no history, or
+//    only fully expired flushes: no target);
+//  - deadline: the earliest queued deadline minus twice the estimated
+//    decode of the queued rows (one estimate for the decode, one as slack
+//    for the wakeup, so the flush still passes the expiry check below);
+//  - window: max_wait_us elapsed since the window opened.
+// So max_wait_us bounds the wait rather than fixing its length. Each
+// flush groups requests by (snapshot, latent storage) — the serving
+// workload is many small query batches against few hot latents — and
+// runs one ContinuousDecoder::decode call per group, demultiplexing the
+// result rows back to per-request promises.
 //
 // Overload behavior is explicit, never emergent:
 //  - deadlines: submit() takes an optional absolute deadline. A request
@@ -59,6 +69,7 @@
 // threads, so concurrent flushes interleave safely on the pool.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -169,11 +180,13 @@ struct QueryBatcherConfig {
   /// Flush as soon as this many query rows are pending (the
   /// throughput knob: bigger batches amortize SGEMM setup).
   std::int64_t max_batch_rows = 4096;
-  /// Batching window for sub-max batches: when a worker finds fewer than
-  /// max_batch_rows pending it holds the flush open this long for more
-  /// arrivals (the latency knob). 0 flushes immediately — the right
-  /// setting for a single synchronous client, which can never have a
-  /// second request in flight to wait for.
+  /// Bound on the batching window for sub-max batches: when a worker
+  /// finds fewer than max_batch_rows pending it holds the flush open at
+  /// most this long for more arrivals (the latency knob). The window
+  /// closes earlier once the queue holds the recent-flush target or a
+  /// queued deadline needs the decode to start (see the file comment).
+  /// 0 flushes immediately — the right setting for a single synchronous
+  /// client, which can never have a second request in flight to wait for.
   std::int64_t max_wait_us = 100;
   /// Queue bound (rows) past which the admission policy kicks in.
   std::int64_t max_queue_rows = 1 << 20;
@@ -193,6 +206,15 @@ class QueryBatcher {
     std::uint64_t requests = 0;       ///< submitted requests
     std::uint64_t rows = 0;           ///< submitted query rows
     std::uint64_t flushes = 0;        ///< batches drained from the queue
+    // -- why each flush's window closed (the five sum to flushes) -------
+    std::uint64_t flushes_full = 0;      ///< reached max_batch_rows
+    std::uint64_t flushes_target = 0;    ///< reached the recent-flush target
+    std::uint64_t flushes_deadline = 0;  ///< a queued deadline was due
+    std::uint64_t flushes_window = 0;    ///< max_wait_us ran out
+    /// No window held: max_wait_us is 0, the queue was already at
+    /// max_batch_rows when the worker looked, or the batcher is shutting
+    /// down.
+    std::uint64_t flushes_immediate = 0;
     std::uint64_t decode_calls = 0;   ///< decoder invocations (groups)
     std::uint64_t planned_decodes = 0;  ///< units served by cached plans
     /// Units not served from the plan cache: they ran decode(), which
@@ -327,13 +349,28 @@ class QueryBatcher {
     Stats::TenantCounters counters;
   };
 
+  /// Why a flush's batching window closed: one Stats::flushes_* each.
+  enum class FlushReason { kImmediate, kFull, kTarget, kDeadline, kWindow };
+
   void worker_loop();
+  /// Hold the batching window open (mu_ held through `lk`) until one of
+  /// its exits fires, and return which. nullopt when another worker took
+  /// a batch meanwhile: the queue is empty, or what is queued now belongs
+  /// to a new window.
+  std::optional<FlushReason> hold_window(std::unique_lock<std::mutex>& lk);
+  /// When the earliest queued deadline closes the window: that deadline
+  /// minus twice the estimated decode of the queued rows (the deadline
+  /// itself while the estimator is 0). nullopt when no queued request
+  /// carries a deadline. Caller holds mu_.
+  std::optional<Deadline> deadline_close_locked() const;
   /// Pop requests into `*batch` under mu_: drains per-tenant sub-queues in
   /// surplus-round-robin order, expires dead requests into `*expired`,
   /// respects max_batch_rows and the earliest taken deadline, applies the
-  /// brownout tier, and updates the brownout/flush stats. Returns the
-  /// popped row count.
-  std::int64_t take_batch_locked(std::vector<Request>* batch,
+  /// brownout tier, updates the brownout/flush stats (counting a
+  /// non-empty flush under `reason`) and records the popped row count in
+  /// the recent-flush ring. Returns the popped row count.
+  std::int64_t take_batch_locked(FlushReason reason,
+                                 std::vector<Request>* batch,
                                  std::vector<Request>* expired);
   /// Advance the brownout ladder from the current signals (queue depth in
   /// rows pre-take, queue-wait EWMA). Caller holds mu_.
@@ -383,6 +420,13 @@ class QueryBatcher {
   // Deadline estimator: EWMA of decode milliseconds per query row
   // (0 until the first decode lands). Guarded by mu_.
   double est_row_ms_ = 0.0;
+  // Flush history (guarded by mu_): the row counts of the last
+  // kRecentFlushes takes, in a ring indexed by the running take count.
+  // Their max is the queue depth at which a window closes. takes_ also
+  // dates windows: one opened before another worker's take is stale.
+  static constexpr std::size_t kRecentFlushes = 8;
+  std::array<std::int64_t, kRecentFlushes> recent_flush_rows_{};
+  std::uint64_t takes_ = 0;
   // Brownout state (guarded by mu_): current ladder level, queue-wait
   // EWMA, and flushes since the last level change (dwell).
   int brownout_level_ = 0;

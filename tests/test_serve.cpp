@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <limits>
@@ -14,6 +15,7 @@
 
 #include "autodiff/variable.h"
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "core/checkpoint.h"
 #include "core/meshfree_flownet.h"
 #include "serve/engine.h"
@@ -72,6 +74,34 @@ double max_abs_diff(const Tensor& a, const Tensor& b) {
     m = std::max(m, std::abs(static_cast<double>(a.data()[i]) -
                              static_cast<double>(b.data()[i])));
   return m;
+}
+
+std::uint64_t flush_reason_sum(const serve::QueryBatcher::Stats& s) {
+  return s.flushes_full + s.flushes_target + s.flushes_deadline +
+         s.flushes_window + s.flushes_immediate;
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// One closed-loop round: a client thread per coordinate set, released
+/// together, each querying patch 1 once. Returns the round's wall ms.
+double closed_round(serve::InferenceEngine& engine, const Tensor& patch,
+                    const std::vector<Tensor>& coords) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (const Tensor& c : coords)
+    clients.emplace_back([&engine, &patch, &go, &c] {
+      while (!go.load()) std::this_thread::yield();
+      (void)engine.query_sync(1, patch, c);
+    });
+  const auto t0 = std::chrono::steady_clock::now();
+  go.store(true);
+  for (auto& t : clients) t.join();
+  return ms_since(t0);
 }
 
 // ------------------------------------------------------------- LatentCache
@@ -275,6 +305,83 @@ TEST(Serve, MultiClientStressParity) {
   EXPECT_EQ(bs.rows,
             static_cast<std::uint64_t>(kClients * kReqs) *
                 static_cast<std::uint64_t>(kQ));
+  EXPECT_EQ(flush_reason_sum(bs), bs.flushes);
+}
+
+// ------------------------------------------------------- batching window
+
+// A fresh batcher has no flush history, so its first round waits out the
+// window. After it, a closed-loop round of the same size closes the
+// moment its last client has submitted — whichever worker holds the
+// window — and a smaller round still coalesces, through the window.
+void expect_round_closes_at_recent_flush_target(int workers) {
+  constexpr std::int64_t kWindowUs = 400000;
+  serve::InferenceEngineConfig ecfg;
+  ecfg.batcher.workers = workers;
+  ecfg.batcher.max_wait_us = kWindowUs;
+  serve::InferenceEngine engine(make_model(71), ecfg);
+  Rng rng(72);
+  const Tensor patch = make_patch(rng);
+  engine.prewarm(1, patch);
+  std::vector<Tensor> coords;
+  for (int i = 0; i < 4; ++i) coords.push_back(make_coords(rng, 64));
+
+  closed_round(engine, patch, coords);
+  const auto s1 = engine.batcher_stats();
+  EXPECT_EQ(s1.flushes, 1u);
+  EXPECT_EQ(s1.flushes_window, 1u);
+
+  const double round_ms = closed_round(engine, patch, coords);
+  const auto s2 = engine.batcher_stats();
+  EXPECT_EQ(s2.decode_calls - s1.decode_calls, 1u);
+  EXPECT_EQ(s2.flushes - s1.flushes, 1u);
+  EXPECT_EQ(s2.flushes_target - s1.flushes_target, 1u);
+  EXPECT_LT(round_ms, static_cast<double>(kWindowUs) / 4e3);
+
+  closed_round(engine, patch, {coords[0], coords[1]});
+  const auto s3 = engine.batcher_stats();
+  EXPECT_EQ(s3.decode_calls - s2.decode_calls, 1u);
+  EXPECT_EQ(s3.flushes - s2.flushes, 1u);
+  EXPECT_EQ(s3.flushes_window - s2.flushes_window, 1u);
+  EXPECT_EQ(flush_reason_sum(s3), s3.flushes);
+}
+
+TEST(QueryBatcher, ClosedLoopRoundClosesAtRecentFlushTarget) {
+  expect_round_closes_at_recent_flush_target(1);
+}
+
+TEST(QueryBatcher, ClosedLoopRoundClosesAtRecentFlushTargetTwoWorkers) {
+  expect_round_closes_at_recent_flush_target(2);
+}
+
+TEST(QueryBatcher, WindowEndsBeforeAQueuedDeadline) {
+  serve::InferenceEngineConfig ecfg;
+  ecfg.batcher.max_batch_rows = 64;
+  ecfg.batcher.max_wait_us = 2000000;
+  serve::InferenceEngine engine(make_model(73), ecfg);
+  Rng rng(74);
+  const Tensor patch = make_patch(rng);
+  engine.prewarm(1, patch);
+  {
+    // A full batch skips the window. Slowing its decode to 40 ms sets the
+    // per-row estimate so the window below closes 20 ms before the
+    // deadline: 10 ms of that is slack for the worker's wakeup, which a
+    // loaded host must not eat.
+    failpoint::Spec slow;
+    slow.arg = 40.0;
+    failpoint::ScopedFail inject("serve.slow_decode", slow);
+    (void)engine.query_sync(1, patch, make_coords(rng, 64));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::future<Tensor> fut =
+      engine.query(1, patch, make_coords(rng, 16), std::nullopt,
+                   t0 + std::chrono::milliseconds(50));
+  EXPECT_NO_THROW(fut.get());
+  EXPECT_LT(ms_since(t0), 500.0);
+  const auto s = engine.batcher_stats();
+  EXPECT_EQ(s.flushes_deadline, 1u);
+  EXPECT_EQ(s.expired_queue, 0u);
+  EXPECT_EQ(flush_reason_sum(s), s.flushes);
 }
 
 // ------------------------------------------------------------- hot swap

@@ -42,6 +42,10 @@
 // src/common/failpoint.h) for fault drills. --tenants N serves N models
 // behind one engine with Zipf(--zipf)-skewed traffic (tenant 0 hottest)
 // and reports per-tenant qps / hit-rate / p99 / shed counters.
+// --max-wait-us bounds the batching window of a sub-max flush; the window
+// closes earlier once the queue holds as many rows as the largest of the
+// last 8 flushes, or when a queued deadline needs the decode to start.
+// The batcher line counts which exit closed each flush.
 //
 // train-worker runs one rank of the fault-tolerant multi-process
 // distributed trainer (src/distributed/worker.h): rank 0 is the
@@ -516,9 +520,16 @@ int cmd_serve_bench(const Args& args) {
       static_cast<double>(r.cache.bytes_in_use) / (1024.0 * 1024.0),
       static_cast<double>(r.cache.byte_budget) / (1024.0 * 1024.0));
   std::printf(
-      "batcher: %llu flushes, %.1f requests coalesced per decode, largest "
-      "flush %llu rows, %llu planned / %llu tape decodes\n",
+      "batcher: %llu flushes (closed by %llu full / %llu target / %llu "
+      "deadline / %llu window / %llu immediate), %.1f requests coalesced "
+      "per decode, largest flush %llu rows, %llu planned / %llu tape "
+      "decodes\n",
       static_cast<unsigned long long>(r.batcher.flushes),
+      static_cast<unsigned long long>(r.batcher.flushes_full),
+      static_cast<unsigned long long>(r.batcher.flushes_target),
+      static_cast<unsigned long long>(r.batcher.flushes_deadline),
+      static_cast<unsigned long long>(r.batcher.flushes_window),
+      static_cast<unsigned long long>(r.batcher.flushes_immediate),
       r.batcher.requests_per_decode(),
       static_cast<unsigned long long>(r.batcher.max_flush_rows),
       static_cast<unsigned long long>(r.batcher.planned_decodes),
