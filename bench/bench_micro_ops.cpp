@@ -515,22 +515,25 @@ void emit_perf_json() {
         static_cast<double>(NB * QD) / drv_loop, drv_loop / drv8);
 
     // AOT snapshot prepack (the once-per-swap cost the plan path pays up
-    // front): weight clone + SGEMM panel packing + conv->BN folding.
+    // front): weight clone + bf16/int8 panel packing + conv->BN folding.
     auto snap = core::PreparedSnapshot::prepare(model, 1);
     const double prep = time_best_of(7, [&] {
       benchmark::DoNotOptimize(core::PreparedSnapshot::prepare(model, 1));
     });
-    std::size_t packed_floats = 0;
-    for (const auto& layer : snap->layers())
-      packed_floats += layer.packed.size();
+    std::size_t bf16_elems = 0, int8_elems = 0;
+    for (const auto& layer : snap->layers()) {
+      bf16_elems += layer.packed_bf16.size();
+      int8_elems += layer.packed_i8.size();
+    }
     std::printf(
-        "{\"mfn_perf\":\"prepack\",\"layers\":%lld,\"packed_floats\":%lld,"
-        "\"threads\":%d,\"usec\":%.1f}\n",
+        "{\"mfn_perf\":\"prepack\",\"layers\":%lld,\"bf16_elems\":%lld,"
+        "\"int8_elems\":%lld,\"threads\":%d,\"usec\":%.1f}\n",
         static_cast<long long>(snap->layers().size()),
-        static_cast<long long>(packed_floats), threads, prep * 1e6);
+        static_cast<long long>(bf16_elems), static_cast<long long>(int8_elems),
+        threads, prep * 1e6);
 
-    // Cached-plan replay — the steady-state serving fast path, which the
-    // no-grad decode lines above run as a per-call plan.
+    // Cached-plan replay — the steady-state serving fast path, which runs
+    // the same value pass as the no-grad decode lines above.
     const Tensor lat1 = latent1.value();
     const Tensor lat8 = latent8.value();
     auto plan1 = core::DecodePlan::compile(
@@ -579,14 +582,13 @@ void emit_perf_json() {
     // Reduced-precision plan tiers at batch 8: a reconstruction-MSE
     // accuracy gate on the small_default model against a fixed-seed
     // synthetic target field (int8 must degrade MSE by < 1% relative),
-    // then replay throughput vs the fp32 plan on a GEMM-bound wide
-    // decoder (hidden 384x384 — K at the prepacked-panel cap). The wide
-    // model is the regime the quantized microkernels target: at
-    // small_default's 32-wide decoder, replay is interpolation-bound
-    // (the three GEMMs are a single-digit percent of replay time) and
-    // every tier tracks fp32 within noise. These lines carry a
-    // "precision" field, so perf_diff tracks them as their own series —
-    // the pinned fp32 decode_plan line identity above is untouched.
+    // then replay throughput vs the fp32 plan (the fused value pass) on a
+    // GEMM-bound wide decoder (hidden 384x384 — K at the prepacked-panel
+    // cap), the regime the quantized microkernels target. At
+    // small_default's 32-wide decoder the fused fp32 pass is faster than
+    // either reduced tier. These lines carry a "precision" field, so
+    // perf_diff tracks them as their own series — the pinned fp32
+    // decode_plan line identity above is untouched.
     {
       const Tensor ref8 = plan8->execute(lat8, coords8);
       const Tensor targets = Tensor::randn(ref8.shape(), rng, 0.5f);

@@ -7,10 +7,6 @@ namespace mfn::backend {
 
 void plan_exec_step(const PlanStep& step, std::int64_t rows, float* arena) {
   switch (step.kernel) {
-    case PlanKernel::kGemmPrepacked:
-      sgemm_prepacked_nt(rows, step.n, step.k, arena + step.in, step.weights,
-                         step.packed, step.bias, arena + step.out);
-      return;
     case PlanKernel::kActivation:
       step.act_fn(arena + step.out, rows * step.n);
       return;

@@ -1,18 +1,15 @@
-// Flat replayable kernel programs for compiled inference plans.
+// Flat replayable kernel programs for the reduced-precision decode plans.
 //
-// A PlanProgram is the backend half of a DecodePlan (core/decode_plan.h):
-// the per-shape compiler lowers a frozen model's math into a flat array of
-// PlanStep records — prepacked-weight GEMMs and in-place activations over
-// fixed float offsets carved from one scratch arena — and steady-state
-// replay is a single loop over that array. No op-graph traversal, no
-// shape-dependent dispatch beyond the kernel tag, no allocation: every
-// operand is either a persistent prepacked weight (owned by a
-// PreparedSnapshot) or an arena offset fixed at compile time.
-//
-// The PlanKernel tag + the prepacked weight pointers are the seam the
-// quantized weight tiers (int8/bf16 panels) plug into: a new tag with its
-// own packed format slots into plan_exec_step without touching the
-// compiler's shape logic.
+// A PlanProgram is the backend half of a bf16 or int8 DecodePlan
+// (core/decode_plan.h): the per-shape compiler lowers a frozen model's
+// math into a flat array of PlanStep records — reduced-precision
+// prepacked GEMMs, row quantization and in-place activations over fixed
+// float offsets carved from one scratch arena — and steady-state replay is
+// a single loop over that array. No op-graph traversal, no shape-dependent
+// dispatch beyond the kernel tag, no allocation: every operand is either a
+// persistent prepacked weight (owned by a PreparedSnapshot) or an arena
+// offset fixed at compile time. fp32 plans run no program: they replay the
+// fused decoder kernel's value pass (core/decode_jet.h).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +19,10 @@
 
 namespace mfn::backend {
 
-/// Decode precision tier. fp32 is the bitwise-pinned tape-parity path;
-/// bf16/int8 execute the reduced-precision prepacked kernels (sgemm.h)
-/// within their documented error bounds.
+/// Decode precision tier. fp32 runs the fused decoder kernel's value pass,
+/// within 1e-5 of the tape decode relative to its largest entry; bf16/int8
+/// execute the reduced-precision prepacked kernels (sgemm.h) within their
+/// documented error bounds.
 enum class Precision : std::uint8_t { kFp32, kBf16, kInt8 };
 
 inline const char* precision_name(Precision p) {
@@ -37,10 +35,6 @@ inline const char* precision_name(Precision p) {
 }
 
 enum class PlanKernel : std::uint8_t {
-  /// arena[out](rows, n) = arena[in](rows, k) . W^T + bias
-  /// W is the dense (n, k) layer weight; `packed` holds the same operand
-  /// prepacked via sgemm_prepack_b for the blocked path.
-  kGemmPrepacked,
   /// In-place activation over arena[out][0 : rows * n] via `act_fn`.
   kActivation,
   /// arena[out](rows, n) = arena[in](rows, k) . W^T + bias against bf16
@@ -63,11 +57,8 @@ struct PlanStep {
   std::int64_t out = 0;  // arena float offset of the output panel
   std::int64_t n = 0;    // output width (gemm) / row width (activation)
   std::int64_t k = 0;    // inner dimension (gemm only)
-  const float* weights = nullptr;  // dense (n, k) weight (gemm only)
-  const float* packed = nullptr;   // prepacked panels (gemm only)
   const float* bias = nullptr;     // n-entry column bias (gemm; may be null)
   void (*act_fn)(float*, std::int64_t) = nullptr;  // activation only
-  // Reduced-precision operands (quantized tiers only).
   const std::uint16_t* packed_b16 = nullptr;  // bf16 panels
   const std::int16_t* packed_s8 = nullptr;    // int8 pair-interleaved panels
   const std::int8_t* dense_s8 = nullptr;      // dense (n, k) int8 weights

@@ -148,8 +148,7 @@ void small_gemm(StrideA sa, Trans transb, std::int64_t M, std::int64_t N,
         float acc = 0.0f;
         // Explicit fmaf pins the accumulation chain to IEEE fused
         // semantics. Left to the compiler, -ffp-contract=fast contracts
-        // each inlined copy of this loop independently, and the serving
-        // plans bitwise-compare outputs produced by different copies.
+        // each inlined copy of this loop independently.
         for (std::int64_t k = 0; k < K; ++k)
           acc = std::fmaf(A[i * sa.rs + k * sa.cs], bcol[k], acc);
         crow[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * crow[j]);
@@ -788,48 +787,6 @@ void sgemm_bias_cols(Trans transa, Trans transb, std::int64_t M,
 
 namespace {
 
-// Lockstep column-dot kernel for the skinny-N prepacked path. Each output
-// keeps small_gemm's serial-k fmaf chain — explicit fused ops make the bits
-// a property of IEEE semantics rather than per-call-site contraction — but
-// the TN <= 4 chains run side by side over the k-major panel: four strided
-// column walks over the dense operand become one contiguous kNR-stride
-// sweep the vectorizer can handle, and the A row is streamed once instead
-// of TN times.
-template <int TN>
-void skinny_prepacked_cols(std::int64_t M, std::int64_t K, const float* A,
-                           const float* Bp, const float* col_bias, float* C) {
-  for (std::int64_t i = 0; i < M; ++i) {
-    const float* arow = A + i * K;
-    float acc[TN];
-    for (int j = 0; j < TN; ++j) acc[j] = 0.0f;
-    const float* bp = Bp;
-    for (std::int64_t k = 0; k < K; ++k, bp += kNR) {
-      const float a = arow[k];
-      for (int j = 0; j < TN; ++j) acc[j] = std::fmaf(a, bp[j], acc[j]);
-    }
-    float* crow = C + i * TN;
-    // Same post-ops as small_gemm + apply_epilogue: alpha/beta fold
-    // (alpha = 1, beta = 0) first, then the bias add as its own rounding
-    // step — the epilogue reads the stored product back in the dense path.
-    for (int j = 0; j < TN; ++j) {
-      const float prod = 1.0f * acc[j] + 0.0f;
-      crow[j] = col_bias ? 1.0f * prod + 0.0f + col_bias[j] : prod;
-    }
-  }
-}
-
-void skinny_prepacked_dispatch(std::int64_t M, std::int64_t N,
-                               std::int64_t K, const float* A,
-                               const float* Bp, const float* col_bias,
-                               float* C) {
-  switch (N) {
-    case 1: skinny_prepacked_cols<1>(M, K, A, Bp, col_bias, C); break;
-    case 2: skinny_prepacked_cols<2>(M, K, A, Bp, col_bias, C); break;
-    case 3: skinny_prepacked_cols<3>(M, K, A, Bp, col_bias, C); break;
-    default: skinny_prepacked_cols<4>(M, K, A, Bp, col_bias, C); break;
-  }
-}
-
 Epilogue to_internal(const SgemmEpilogue& ep) {
   Epilogue e;
   e.row_scale = ep.row_scale;
@@ -850,92 +807,7 @@ void sgemm_ep(Trans transa, Trans transb, std::int64_t M, std::int64_t N,
 
 int sgemm_panel_width() { return kNR; }
 
-std::size_t sgemm_prepack_b_floats(std::int64_t K, std::int64_t N) {
-  const std::int64_t npanels = (N + kNR - 1) / kNR;
-  return static_cast<std::size_t>(npanels * K * kNR);
-}
-
-void sgemm_prepack_b(Trans transb, std::int64_t K, std::int64_t N,
-                     const float* B, float* Bp) {
-  MFN_CHECK(K >= 1 && N >= 1, "sgemm_prepack_b empty operand");
-  pack_b(B, strides_b(transb, K, N), 0, K, N, Bp);
-}
-
 std::int64_t sgemm_prepacked_max_k() { return kKC + kKC / 2; }
-
-void sgemm_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
-                        const float* A, const float* Bdense, const float* Bp,
-                        const float* col_bias, float* C) {
-  MFN_CHECK(M >= 0 && N >= 0, "sgemm_prepacked_nt negative dims");
-  MFN_CHECK(K >= 1 && K <= sgemm_prepacked_max_k(),
-            "sgemm_prepacked_nt K outside single-block panel range");
-  if (M == 0 || N == 0) return;
-  Epilogue ep;
-  ep.col_bias = col_bias;
-  const StrideA sa{K, 1};  // strides_a(kNo, M, K)
-  // Shape dispatch mirrors sgemm_impl branch for branch: the small and
-  // skinny paths read the dense operand exactly as sgemm would (the
-  // prepacked panels only feed the microkernel), so every shape lands on
-  // the same kernel with the same accumulation order as
-  // sgemm_bias_cols(kNo, kYes, ..., beta = 0) — bitwise identical output.
-  if (M * N * K <= kSmallFlops) {
-    small_gemm(sa, Trans::kYes, M, N, K, 1.0f, A, Bdense, 0.0f, C, ep);
-    return;
-  }
-  if (N <= 4 || M <= 2) {
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, kSmallFlops / std::max<std::int64_t>(N * K, 1));
-    if (N <= 4) {
-      // The skinny-N shape (the decoder's output layer) is where the
-      // prepack pays beyond elided packing: the k-major panel feeds the
-      // lockstep kernel, which is bit-identical to the small_gemm walk the
-      // dense path takes but ~3x cheaper per row.
-      parallel_for(
-          M,
-          [&](std::int64_t i0, std::int64_t i1) {
-            skinny_prepacked_dispatch(i1 - i0, N, K, A + i0 * sa.rs, Bp,
-                                      col_bias, C + i0 * N);
-          },
-          grain);
-      return;
-    }
-    parallel_for(
-        M,
-        [&](std::int64_t i0, std::int64_t i1) {
-          small_gemm(sa, Trans::kYes, i1 - i0, N, K, 1.0f, A + i0 * sa.rs,
-                     Bdense, 0.0f, C + i0 * N, ep);
-        },
-        grain);
-    return;
-  }
-  // Blocked path with the per-call pack_b elided: K is within
-  // sgemm_prepacked_max_k(), so the dense path would run exactly one
-  // k-block (kc == K) whose per-panel stride matches the whole-K prepack.
-  parallel_for_2d(
-      M, N, kMC, kNC,
-      [&](std::int64_t i0, std::int64_t i1, std::int64_t j0,
-          std::int64_t j1) {
-        Workspace& wsl = local_workspace();
-        const Workspace::Mark m = wsl.mark();
-        const std::int64_t mc = i1 - i0;
-        const std::int64_t ma_panels = (mc + kMR - 1) / kMR;
-        float* Ap = wsl.alloc(static_cast<std::size_t>(ma_panels * K * kMR));
-        pack_a<kMR>(A, sa, i0, mc, 0, K, 1.0f, Ap);
-        for (std::int64_t j = j0; j < j1; j += kNR) {
-          const float* bp = Bp + (j / kNR) * K * kNR;
-          const int nr =
-              static_cast<int>(std::min<std::int64_t>(kNR, N - j));
-          for (std::int64_t i = i0; i < i1; i += kMR) {
-            const float* ap = Ap + ((i - i0) / kMR) * K * kMR;
-            const int mr =
-                static_cast<int>(std::min<std::int64_t>(kMR, M - i));
-            micro_kernel(K, ap, bp, C + i * N + j, N, mr, nr, 0.0f,
-                         tile_ep(ep, i, j));
-          }
-        }
-        wsl.release(m);
-      });
-}
 
 // --------------------------------------- reduced-precision tiers (impl) --
 namespace {
@@ -997,11 +869,11 @@ inline float fused_act_s(FusedAct act, float t) {
 
 // ---- bf16 ----
 
-// Lockstep skinny-N kernel over the bf16 panel, mirroring
-// skinny_prepacked_cols: serial-k fmaf chains, widened B on the fly. Used
-// by BOTH the scalar and vector drivers at N <= 4 (the decoder's output
-// layer) — at these widths the lockstep walk beats a masked vector tile
-// and keeps the two paths bitwise identical there.
+// Lockstep skinny-N kernel over the bf16 panel: the TN <= 4 serial-k
+// fmaf chains run side by side over the k-major panel, widening B on the
+// fly. Used by BOTH the scalar and vector drivers at N <= 4 (the
+// decoder's output layer) — at these widths the lockstep walk beats a
+// masked vector tile and keeps the two paths bitwise identical there.
 template <int TN>
 void skinny_bf16_cols(std::int64_t M, std::int64_t K, const float* A,
                       const std::uint16_t* Bp, const float* col_bias,
@@ -1256,7 +1128,8 @@ void int8_rows_simd(std::int64_t rows, std::int64_t N, std::int64_t K,
 }  // namespace
 
 std::size_t sgemm_prepack_b_bf16_elems(std::int64_t K, std::int64_t N) {
-  return sgemm_prepack_b_floats(K, N);
+  const std::int64_t npanels = (N + kNR - 1) / kNR;
+  return static_cast<std::size_t>(npanels * K * kNR);
 }
 
 void sgemm_prepack_b_bf16(Trans transb, std::int64_t K, std::int64_t N,

@@ -85,50 +85,13 @@ void sgemm_ep(Trans transa, Trans transb, std::int64_t M, std::int64_t N,
               float beta, float* C, const SgemmEpilogue& ep,
               Workspace* ws = nullptr);
 
-// ------------------------------------------------- prepacked weights ----
-// Ahead-of-time weight prepack for replayed decode plans (and the seam the
-// quantized weight tiers plug into): op(B) is packed ONCE into persistent
-// NR-column k-major panels — the exact layout pack_b produces per call in
-// the blocked sgemm path — and sgemm_prepacked_nt() then executes
-//   C(M,N) = A . op(B) + col_bias
-// against those panels with zero per-call B packing. The entry point
-// mirrors sgemm's internal dispatch (small / skinny / blocked) branch for
-// branch, so its output is BITWISE identical to
-// sgemm_bias_cols(kNo, kYes, ..., beta = 0) at every shape — the serving
-// layer pins planned decode bit-identical to the tape path.
-
-/// Floats required to hold op(B) (K x N) prepacked into panels.
-std::size_t sgemm_prepack_b_floats(std::int64_t K, std::int64_t N);
-
-/// Pack op(B)[0:K, 0:N] whole into the persistent panel layout at `Bp`
-/// (sgemm_prepack_b_floats(K, N) floats). B is stored (K,N) when transb ==
-/// kNo, (N,K) when kYes — a linear layer passes its (out, in) weight with
-/// kYes. Ragged tail columns are zero-filled.
-void sgemm_prepack_b(Trans transb, std::int64_t K, std::int64_t N,
-                     const float* B, float* Bp);
-
-/// Largest K the prepacked panel layout supports: above this the dense
-/// path would run multiple k-blocks, whose per-block panel stride differs
-/// from the whole-K prepack. Plan compilers must fall back beyond it.
-std::int64_t sgemm_prepacked_max_k();
-
-/// C(M,N) = A . op(B) + col_bias[j] against panels from sgemm_prepack_b.
-/// A is dense row-major (M, K); `Bdense` is the same operand the panels
-/// were packed from, stored (N, K) — the small/skinny shapes read it
-/// directly, exactly like the dense path, which is what keeps the result
-/// bitwise identical to sgemm_bias_cols(kNo, kYes, ..., beta = 0).
-/// `col_bias` may be null (plain sgemm semantics). Requires K in
-/// [1, sgemm_prepacked_max_k()]. Packed-A scratch comes from each
-/// executing thread's local workspace arena, exactly as in sgemm — no
-/// steady-state allocation. Runs on the calling thread plus the pool as
-/// sgemm does; nested calls (from inside a parallel_for) run serially.
-void sgemm_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
-                        const float* A, const float* Bdense,
-                        const float* Bp, const float* col_bias, float* C);
-
 // ------------------------------------- reduced-precision prepacked tiers --
-// Two lower-precision weight formats behind the same prepacked seam, for
-// serve-time decode plans where the weights are frozen between hot-swaps:
+// Ahead-of-time weight prepack for serve-time decode plans, where the
+// weights are frozen between hot-swaps: op(B) is packed ONCE into
+// persistent NR-column k-major panels — the layout pack_b produces per
+// call in the blocked sgemm path — in one of two lower-precision formats,
+// and the entry points below run against those panels with zero per-call
+// B packing:
 //
 //   bf16  — weights truncated (round-to-nearest-even) to bfloat16 panels,
 //           widened back to fp32 on load, fp32 FMA accumulation. Halves
@@ -146,6 +109,11 @@ void sgemm_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
 // SIMD and forced-scalar paths (integer accumulation is order-exact and
 // the dequant epilogue mirrors the same float op order).
 
+/// Largest K the prepacked panel layout supports: above this the dense
+/// path would run multiple k-blocks, whose per-block panel stride differs
+/// from the whole-K prepack. Plan compilers must refuse wider layers.
+std::int64_t sgemm_prepacked_max_k();
+
 /// Activation fused into the reduced-precision epilogues. kTanh/kSoftplus
 /// evaluate the shared simd::v_* polynomials on both paths.
 enum class FusedAct : std::uint8_t { kNone, kRelu, kTanh, kSoftplus };
@@ -153,8 +121,8 @@ enum class FusedAct : std::uint8_t { kNone, kRelu, kTanh, kSoftplus };
 /// uint16 elements required for the bf16 panel prepack of op(B) (K x N).
 std::size_t sgemm_prepack_b_bf16_elems(std::int64_t K, std::int64_t N);
 
-/// Pack op(B)[0:K, 0:N] into bf16 panels at `Bp` (same panel geometry as
-/// sgemm_prepack_b, elements truncated to bf16 with round-to-nearest-even).
+/// Pack op(B)[0:K, 0:N] into bf16 panels at `Bp` (the blocked path's
+/// NR-column k-major panels, elements rounded to bf16 to nearest-even).
 /// B is (K,N) when transb == kNo, (N,K) when kYes. Requires K in
 /// [1, sgemm_prepacked_max_k()].
 void sgemm_prepack_b_bf16(Trans transb, std::int64_t K, std::int64_t N,

@@ -35,6 +35,20 @@ struct VecLanes {
   static void store(float* p, V v) { simd::vstoreu(p, v); }
   static V set1(float x) { return simd::vset1(x); }
   static V fma(V a, V b, V c) { return simd::vfma(a, b, c); }
+  // Softplus of z from e = exp(-|z|).
+  static V softplus(V z, V e) {
+    return simd::vmax(z, simd::vzero()) + simd::v_log1p(e);
+  }
+  // f at z, the same arithmetic as derivs' f.
+  template <Activation A>
+  static V act(V z) {
+    if constexpr (A == Activation::kSoftplus)
+      return softplus(z, simd::v_exp(simd::vneg(simd::vabs(z))));
+    else if constexpr (A == Activation::kTanh)
+      return simd::v_tanh(z);
+    else
+      return simd::vmax(z, simd::vzero());
+  }
   // f, f', f'', f''' at z. Softplus shares one exp(-|z|) between the
   // v_softplus and v_sigmoid formulas, so f and f' equal those kernels'.
   template <Activation A>
@@ -42,19 +56,19 @@ struct VecLanes {
     const V one = simd::vset1(1.0f);
     if constexpr (A == Activation::kSoftplus) {
       const V e = simd::v_exp(simd::vneg(simd::vabs(z)));
-      f = simd::vmax(z, simd::vzero()) + simd::v_log1p(e);
+      f = softplus(z, e);
       const V s = simd::vdiv(e, one + e);
       d1 = simd::vselect(simd::vcmp_ge(z, simd::vzero()), one - s, s);
       d2 = d1 * (one - d1);
       d3 = d2 * (one - (d1 + d1));
     } else if constexpr (A == Activation::kTanh) {
-      f = simd::v_tanh(z);
+      f = act<A>(z);
       d1 = one - f * f;
       d2 = simd::vset1(-2.0f) * f * d1;
       d3 = d1 * (simd::vset1(6.0f) * f * f - simd::vset1(2.0f));
     } else {
       const V zero = simd::vzero();
-      f = simd::vmax(z, zero);
+      f = act<A>(z);
       d1 = simd::vselect(simd::vcmp_gt(z, zero), one, zero);
       d2 = zero;
       d3 = zero;
@@ -71,19 +85,28 @@ struct ScalarLanes {
   static V set1(float x) { return x; }
   static V fma(V a, V b, V c) { return a * b + c; }
   template <Activation A>
-  static void derivs(V z, V& f, V& d1, V& d2, V& d3) {
-    if constexpr (A == Activation::kSoftplus) {
+  static V act(V z) {
+    V f;
+    if constexpr (A == Activation::kSoftplus)
       scalar_ref::softplus(&z, &f, 1);
+    else if constexpr (A == Activation::kTanh)
+      scalar_ref::tanh(&z, &f, 1);
+    else
+      f = z > 0.0f ? z : 0.0f;
+    return f;
+  }
+  template <Activation A>
+  static void derivs(V z, V& f, V& d1, V& d2, V& d3) {
+    f = act<A>(z);
+    if constexpr (A == Activation::kSoftplus) {
       scalar_ref::sigmoid(&z, &d1, 1);
       d2 = d1 * (1.0f - d1);
       d3 = d2 * (1.0f - (d1 + d1));
     } else if constexpr (A == Activation::kTanh) {
-      scalar_ref::tanh(&z, &f, 1);
       d1 = 1.0f - f * f;
       d2 = -2.0f * f * d1;
       d3 = d1 * (6.0f * f * f - 2.0f);
     } else {
-      f = z > 0.0f ? z : 0.0f;
       d1 = z > 0.0f ? 1.0f : 0.0f;
       d2 = 0.0f;
       d3 = 0.0f;
@@ -118,7 +141,7 @@ void dispatch(bool vec, Activation act, F&& f) {
 // A tile is one query's 8 corner rows (row j = corner j). A layer's
 // activations in a tile are row-major with the features padded to whole
 // column panels: stream m of row r starts at (r * S + m) * ld for S
-// streams (1 for layer 0's value and the layer-0 input, 6 for a jet).
+// streams (1 for the layer-0 input and the value pass, 6 for a jet).
 
 // Column tiling of a width: panels of np vectors (two when the width
 // exceeds one vector), ld = padded width. Padding lanes hold finite
@@ -369,33 +392,34 @@ inline void layer0_jet(typename P::V z, const float* wc, std::int64_t ld0,
   j[4] = j[5] = P::set1(0.0f);
 }
 
-// The trilinear blend of a tile's 8 corner jets h (stream stride ld) into
-// the six members m (member stride ld):
+// The trilinear blend of a tile's 8 corner jets h (S streams of stride
+// ld) into S members m (member stride ld):
 //   value = sum w h, d/dk = sum dw_k h + w t_k,
 //   d2/dk2 = sum 2 dw_k t_k + w c_k.
 // The output layer is linear, so blending its input and projecting once
 // per query equals projecting each corner and blending the outputs.
-template <class P>
+template <class P, int S>
 void blend(const float* h, std::int64_t ld, const float* geo, float* m) {
   using V = typename P::V;
-  const V two = P::set1(2.0f);
   for (std::int64_t c = 0; c < ld; c += P::kWidth) {
-    V acc[kMembers];
+    V acc[S];
     for (V& a : acc) a = P::set1(0.0f);
     for (int j = 0; j < kRows; ++j) {
-      const V w = P::set1(geo[4 * j]), dt = P::set1(geo[4 * j + 1]),
-              dz = P::set1(geo[4 * j + 2]), dx = P::set1(geo[4 * j + 3]);
-      V y[kStreams];
-      for (int s = 0; s < kStreams; ++s)
-        y[s] = P::load(h + (j * kStreams + s) * ld + c);
+      const V w = P::set1(geo[4 * j]);
+      V y[S];
+      for (int s = 0; s < S; ++s) y[s] = P::load(h + (j * S + s) * ld + c);
       acc[kValue] = acc[kValue] + w * y[0];
-      acc[kDt] = acc[kDt] + (dt * y[0] + w * y[1]);
-      acc[kDz] = acc[kDz] + (dz * y[0] + w * y[2]);
-      acc[kDx] = acc[kDx] + (dx * y[0] + w * y[3]);
-      acc[kDzz] = acc[kDzz] + (two * dz * y[2] + w * y[4]);
-      acc[kDxx] = acc[kDxx] + (two * dx * y[3] + w * y[5]);
+      if constexpr (S == kStreams) {
+        const V two = P::set1(2.0f), dt = P::set1(geo[4 * j + 1]),
+                dz = P::set1(geo[4 * j + 2]), dx = P::set1(geo[4 * j + 3]);
+        acc[kDt] = acc[kDt] + (dt * y[0] + w * y[1]);
+        acc[kDz] = acc[kDz] + (dz * y[0] + w * y[2]);
+        acc[kDx] = acc[kDx] + (dx * y[0] + w * y[3]);
+        acc[kDzz] = acc[kDzz] + (two * dz * y[2] + w * y[4]);
+        acc[kDxx] = acc[kDxx] + (two * dx * y[3] + w * y[5]);
+      }
     }
-    for (int s = 0; s < kMembers; ++s) P::store(m + s * ld + c, acc[s]);
+    for (int s = 0; s < S; ++s) P::store(m + s * ld + c, acc[s]);
   }
 }
 
@@ -505,16 +529,18 @@ void gather(const Grid& g, const float* lc, const float* coords,
 
 // --------------------------------------------------------------- forward --
 
-// A gathered tile x (stride ldx) through layer 0 and every hidden layer.
-// Layer 0 computes the value only: its tangents are W0's coordinate
-// columns and its curvatures zero, so the seeds fold into its write-back.
-// Each hidden layer after it is one 6-stream product per register tile
-// with bias and the jet activation applied in the write-back. Hidden layer
-// l's jet goes to hs[l] (row r, stream m at (r * 6 + m) * ld_l); with ds,
-// f', f'', f''' go to ds[l] (row r, derivative e at (r * 3 + e) * ld_l)
-// and the pre-activation jets of layers l > 0 to zs[l] (laid out like
-// hs[l]), for the backward.
-template <class P, Activation A>
+// A gathered tile x (stride ldx) through layer 0 and every hidden layer,
+// carrying S streams: the value alone (S = 1) or the jet (S = 6). Each
+// layer is one S-stream product per register tile with the bias and the
+// activation applied in the write-back; the value pass stores h = f(z).
+// In the jet, layer 0 computes the value product only: its tangents are
+// W0's coordinate columns and its curvatures zero, so the seeds fold into
+// its write-back, and every later layer applies the jet activation. Hidden
+// layer l's streams go to hs[l] (row r, stream m at (r * S + m) * ld_l);
+// with ds (jet only), f', f'', f''' go to ds[l] (row r, derivative e at
+// (r * 3 + e) * ld_l) and the pre-activation jets of layers l > 0 to
+// zs[l] (laid out like hs[l]), for the backward.
+template <class P, Activation A, int S>
 void hidden_layers(const Net& net, const float* x, float* const* hs,
                    float* const* ds, float* const* zs) {
   using V = typename P::V;
@@ -530,14 +556,18 @@ void hidden_layers(const Net& net, const float* x, float* const* hs,
           for (int r = 0; r < rows_of(acc); ++r)
             for (int v = 0; v < NP; ++v) {
               const std::int64_t col = c + v * W;
-              V zj[kStreams];
-              layer0_jet<P>(acc[r][0][v] + P::load(net.bias[0] + col),
-                            net.wc + col, c0.ld, zj);
-              act_jet<P, A>(zj, hs[0] + (r0 + r) * kStreams * c0.ld + col,
-                            c0.ld,
-                            ds == nullptr
-                                ? nullptr
-                                : ds[0] + (r0 + r) * 3 * c0.ld + col);
+              const V z = acc[r][0][v] + P::load(net.bias[0] + col);
+              float* h = hs[0] + (r0 + r) * S * c0.ld + col;
+              if constexpr (S == 1) {
+                P::store(h, P::template act<A>(z));
+              } else {
+                V zj[kStreams];
+                layer0_jet<P>(z, net.wc + col, c0.ld, zj);
+                act_jet<P, A>(zj, h, c0.ld,
+                              ds == nullptr
+                                  ? nullptr
+                                  : ds[0] + (r0 + r) * 3 * c0.ld + col);
+              }
             }
         });
   });
@@ -546,35 +576,40 @@ void hidden_layers(const Net& net, const float* x, float* const* hs,
     const Cols cl = cols<P>(ly.out);
     with_np(cl.np, [&](auto np) {
       constexpr int NP = decltype(np)::value;
-      layer_pass<P, kStreams, NP>(
+      layer_pass<P, S, NP>(
           hs[l - 1], cols<P>(ly.in).ld, kRows, ly.in, net.fwd[l], cl.panels,
           [&](int r0, std::int64_t c, auto& acc) {
             for (int r = 0; r < rows_of(acc); ++r)
               for (int v = 0; v < NP; ++v) {
                 const std::int64_t col = c + v * W;
-                const std::int64_t at = (r0 + r) * kStreams * cl.ld + col;
-                V z[kStreams];
-                for (int m = 0; m < kStreams; ++m) z[m] = acc[r][m][v];
+                const std::int64_t at = (r0 + r) * S * cl.ld + col;
+                V z[S];
+                for (int m = 0; m < S; ++m) z[m] = acc[r][m][v];
                 z[0] = z[0] + P::load(net.bias[l] + col);
-                if (zs != nullptr)
-                  for (int m = 0; m < kStreams; ++m)
-                    P::store(zs[l] + at + m * cl.ld, z[m]);
-                act_jet<P, A>(z, hs[l] + at, cl.ld,
-                              ds == nullptr
-                                  ? nullptr
-                                  : ds[l] + (r0 + r) * 3 * cl.ld + col);
+                if constexpr (S == 1) {
+                  P::store(hs[l] + at, P::template act<A>(z[0]));
+                } else {
+                  if (zs != nullptr)
+                    for (int m = 0; m < S; ++m)
+                      P::store(zs[l] + at + m * cl.ld, z[m]);
+                  act_jet<P, A>(z, hs[l] + at, cl.ld,
+                                ds == nullptr
+                                    ? nullptr
+                                    : ds[l] + (r0 + r) * 3 * cl.ld + col);
+                }
               }
           });
     });
   }
 }
 
-// Query b through every layer: the last hidden jet (for a single-layer
-// decoder, the seeded input) is blended over the 8 corners and the output
-// layer projects the six blended members once. hs holds a jet buffer per
-// hidden layer (distinct for consecutive layers); m and mem hold six
-// members each.
-template <class P, Activation A>
+// Query b through every layer with S streams: the last hidden layer (for
+// a single-layer decoder, the input, seeded as a jet when S = 6) is
+// blended over the 8 corners and the output layer projects the S blended
+// members once. hs holds an S-stream buffer per hidden layer (distinct
+// for consecutive layers); m and mem hold S members each. Member k goes
+// to outs[k] unless that is null.
+template <class P, Activation A, int S>
 void forward_tile(const Grid& g, const float* lc, const float* coords,
                   std::int64_t b, const Net& net, float* x, float* geo,
                   float* const* hs, float* m, float* mem,
@@ -585,34 +620,38 @@ void forward_tile(const Grid& g, const float* lc, const float* coords,
   const Layer& lo = layers.back();
   const std::int64_t ldx = cols<P>(layers.front().in).ld;
   gather(g, lc, coords, b, ldx, x, geo);
-  if (L == 1)
-    seed_jet(x, ldx, hs[0]);
+  const float* last = hs[L == 1 ? 0 : L - 2];
+  if (L > 1)
+    hidden_layers<P, A, S>(net, x, hs, nullptr, nullptr);
+  else if constexpr (S == 1)
+    last = x;
   else
-    hidden_layers<P, A>(net, x, hs, nullptr, nullptr);
+    seed_jet(x, ldx, hs[0]);
   const std::int64_t ldi = cols<P>(lo.in).ld;
-  blend<P>(hs[L == 1 ? 0 : L - 2], ldi, geo, m);
+  blend<P, S>(last, ldi, geo, m);
   const Cols co = cols<P>(lo.out);
   with_np(co.np, [&](auto np) {
     constexpr int NP = decltype(np)::value;
-    layer_pass<P, kStreams, NP, 1>(
+    layer_pass<P, S, NP, 1>(
         m, ldi, 1, lo.in, net.fwd[L - 1], co.panels,
         [&](int, std::int64_t c, auto& acc) {
           for (int v = 0; v < NP; ++v) {
             const std::int64_t col = c + v * W;
             // the output bias reaches the value only
             P::store(mem + col, acc[0][0][v] + P::load(net.bias[L - 1] + col));
-            for (int k = 1; k < kMembers; ++k)
+            for (int k = 1; k < S; ++k)
               P::store(mem + k * co.ld + col, acc[0][k][v]);
           }
         });
   });
-  for (int k = 0; k < kMembers; ++k)
-    std::copy(mem + k * co.ld, mem + k * co.ld + lo.out,
-              outs[k] + b * lo.out);
+  for (int k = 0; k < S; ++k)
+    if (outs[k] != nullptr)
+      std::copy(mem + k * co.ld, mem + k * co.ld + lo.out,
+                outs[k] + b * lo.out);
 }
 
 // Forward over every block, each block's queries in order.
-template <class P, Activation A>
+template <class P, Activation A, int S>
 void run_forward(const Grid& g, const float* coords,
                  const std::vector<Layer>& layers,
                  const std::array<float*, kMembers>& outs) {
@@ -633,19 +672,18 @@ void run_forward(const Grid& g, const float* coords,
         };
         float* x = padded(nullptr, 0, kRows * ldx, ws);
         float* geo = take(4 * kRows);
-        // Two jet buffers, alternating between consecutive layers.
-        float* pair[2] = {take(kRows * kStreams * ldmax),
-                          take(kRows * kStreams * ldmax)};
+        // Two stream buffers, alternating between consecutive layers.
+        float* pair[2] = {take(kRows * S * ldmax), take(kRows * S * ldmax)};
         std::vector<float*> hs;
         for (std::size_t l = 0; l + 1 < std::max<std::size_t>(layers.size(), 2);
              ++l)
           hs.push_back(pair[l % 2]);
-        float* m = take(kMembers * ldmax);
-        float* mem = take(kMembers * ldmax);
+        float* m = take(S * ldmax);
+        float* mem = take(S * ldmax);
         const std::int64_t b1 = std::min(blk1 * kBlockQueries, total);
         for (std::int64_t b = blk0 * kBlockQueries; b < b1; ++b)
-          forward_tile<P, A>(g, lc, coords, b, net, x, geo, hs.data(), m,
-                             mem, outs);
+          forward_tile<P, A, S>(g, lc, coords, b, net, x, geo, hs.data(), m,
+                                mem, outs);
         ws.release(mark);
       },
       /*grain=*/1);
@@ -722,7 +760,8 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
   if (L == 1)
     seed_jet(s.x, ldx, s.h[0]);
   else
-    hidden_layers<P, A>(net, s.x, s.h.data(), s.d.data(), s.z.data());
+    hidden_layers<P, A, kStreams>(net, s.x, s.h.data(), s.d.data(),
+                                  s.z.data());
 
   // Adjoint hb of hidden layer l's output jet at row r, columns c.. into
   // that of its pre-activation: the six-stream zbar into dst for l > 0;
@@ -772,7 +811,7 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
     for (std::int64_t o = 0; o < ldo; ++o)
       gm[o] = o < lo.out ? grad[(m * total + b) * lo.out + o] : 0.0f;
   }
-  blend<P>(L == 1 ? s.h[0] : s.h[L - 2], ldi, s.geo, s.m);
+  blend<P, kStreams>(L == 1 ? s.h[0] : s.h[L - 2], ldi, s.geo, s.m);
   wgrad<P, S>(s.gm, ldo, lo.out, s.m, lo.in, 1, s.accw[L - 1]);
   row_sums<P>(s.gm, S, ldo, 1, s.accb[L - 1]);
   const Cols cm = cols<P>(L == 1 ? g.c : lo.in);
@@ -973,10 +1012,25 @@ void scatter_latent(const Grid& g, const float* coords, const float* xbar,
 void forward(const Grid& grid, const float* coords,
              const std::vector<Layer>& layers, nn::Activation act,
              const std::array<float*, kMembers>& outs) {
+  const bool jet = std::any_of(outs.begin() + 1, outs.end(),
+                               [](const float* o) { return o != nullptr; });
   dispatch(simd::enabled(), act, [&](auto lanes, auto tag) {
-    run_forward<decltype(lanes), decltype(tag)::value>(grid, coords, layers,
-                                                       outs);
+    using P = decltype(lanes);
+    constexpr Activation A = decltype(tag)::value;
+    if (jet)
+      run_forward<P, A, kStreams>(grid, coords, layers, outs);
+    else
+      run_forward<P, A, 1>(grid, coords, layers, outs);
   });
+}
+
+std::vector<Layer> layers_of(const nn::MLP& mlp) {
+  std::vector<Layer> layers;
+  for (const auto& fc : mlp.layers())
+    layers.push_back({fc->in_features(), fc->out_features(),
+                      fc->weight().value().data(),
+                      fc->has_bias() ? fc->bias().value().data() : nullptr});
+  return layers;
 }
 
 }  // namespace jet
@@ -991,16 +1045,13 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
   // wslot / bslot hold their parent indices (bslot 0: no bias).
   std::vector<ad::Var> parents{latent};
   std::vector<std::size_t> wslot, bslot;
-  std::vector<jet::Layer> layers;
   for (const auto& fc : mlp.layers()) {
     wslot.push_back(parents.size());
     parents.push_back(fc->weight());
     bslot.push_back(fc->has_bias() ? parents.size() : 0);
     if (fc->has_bias()) parents.push_back(fc->bias());
-    layers.push_back({fc->in_features(), fc->out_features(),
-                      fc->weight().value().data(),
-                      fc->has_bias() ? fc->bias().value().data() : nullptr});
   }
+  const std::vector<jet::Layer> layers = jet::layers_of(mlp);
   const std::int64_t total = grid.n * q, width = layers.back().out;
   Tensor out = Tensor::uninitialized(Shape{jet::kMembers * total, width});
   std::array<float*, jet::kMembers> outs{};
@@ -1015,7 +1066,7 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
   // forward's lane type even if simd::set_force_scalar flips in between.
   const bool vec = simd::enabled();
   jet::dispatch(vec, act, [&](auto lanes, auto tag) {
-    jet::run_forward<decltype(lanes), decltype(tag)::value>(
+    jet::run_forward<decltype(lanes), decltype(tag)::value, jet::kStreams>(
         grid, coords.data(), layers, outs);
   });
   if (!needs_grad) return ad::Var(std::move(out), /*requires_grad=*/false);

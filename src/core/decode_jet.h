@@ -1,4 +1,5 @@
-// The decoder's derivative bundle as one fused tape node.
+// The decoder's fused small-MLP kernel: the derivative bundle as one tape
+// node, and the value pass.
 //
 // The PDE equation loss needs, at every query point, the decoded value and
 // its first (t, z, x) and second (zz, xx) coordinate derivatives. They are
@@ -51,8 +52,16 @@
 // bit-identical at every MFN_NUM_THREADS. The backward takes the
 // forward's lane type (vector or scalar).
 //
-// DecodePlan::execute_derivatives (the serving derivative replay) runs the
-// same forward over its snapshot's weights.
+// jet::forward also serves the value alone. When the caller asks for no
+// derivative, a tile carries one stream through the same tile kernels,
+// register tiles and blocks: each layer's product with bias and f(z) in
+// the write-back, the blend of the last hidden layer's values, and one
+// output projection per query. Its value equals the bundle's value member
+// bit for bit on the vector lanes. The no-grad ContinuousDecoder::decode
+// and the fp32 DecodePlan::execute (serving replay) run that value pass;
+// DecodePlan::execute_derivatives runs the six-member forward. Every
+// query's result depends only on its coordinates, its latent sample and
+// the weights, so how queries are batched never changes a bit.
 #pragma once
 
 #include <algorithm>
@@ -104,12 +113,17 @@ struct Grid {
 /// Bundle members in output order.
 enum Member : int { kValue, kDt, kDz, kDx, kDzz, kDxx, kMembers };
 
-/// Forward jet decode of all n*q queries, no tape. `coords` holds (n*q, 3)
+/// Forward decode of all n*q queries, no tape. `coords` holds (n*q, 3)
 /// continuous grid indices; outs[m] receives member m as (n*q, out)
-/// row-major.
+/// row-major. The member set is the non-null outs: with only
+/// outs[kValue], the value pass runs; with any derivative, the six-member
+/// jet runs and fills the non-null members.
 void forward(const Grid& grid, const float* coords,
              const std::vector<Layer>& layers, nn::Activation act,
              const std::array<float*, kMembers>& outs);
+
+/// The layers of `mlp`, reading its weights and biases in place.
+std::vector<Layer> layers_of(const nn::MLP& mlp);
 
 }  // namespace jet
 

@@ -12,20 +12,11 @@ namespace mfn::core {
 
 namespace {
 
-// Value replay runs fixed global blocks of 256 queries, the last block
-// taking the remainder: block i starts at query i*256 whichever worker runs
-// it, so output bits do not depend on MFN_NUM_THREADS. 256 queries keep a
-// block's activations (8 * 256 rows x the widest layer) inside L2.
-//
-// The remainder is absorbed rather than run as a short block so that each
-// block's GEMMs take the same sgemm kernel as the tape's one (8B)-row
-// GEMM: a decode of B <= 256 queries is one block of B, and a longer one
-// has blocks of 256..511 queries, at least 2048 rows, as the tape does.
-// The small-problem kernel and the blocked microkernel are not bitwise
-// interchangeable on every SIMD tier, so a short trailing block would
-// break bitwise parity with the tape there.
+// The reduced tiers replay fixed global blocks of 256 queries: block i
+// starts at query i*256 whichever worker runs it, so output bits do not
+// depend on MFN_NUM_THREADS. 256 queries keep a block's activations
+// (8 * 256 rows x the widest layer) inside L2.
 constexpr std::int64_t kBlockQueries = 256;
-constexpr std::int64_t kMaxBlockQueries = 2 * kBlockQueries - 1;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -44,24 +35,15 @@ std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::prepare(
   // Ahead-of-time eval folds (e.g. the encoder's conv->BN epilogue
   // affines): every later encode serves them from cache.
   model.prepare_inference();
-  return build(model.decoder().mlp(), version, /*reduced_tiers=*/true);
-}
-
-std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::pack(
-    const nn::MLP& decoder_mlp, std::uint64_t version) {
-  return build(decoder_mlp, version, /*reduced_tiers=*/false);
-}
-
-std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::build(
-    const nn::MLP& decoder_mlp, std::uint64_t version, bool reduced_tiers) {
-  const auto& fcs = decoder_mlp.layers();
+  const nn::MLP& mlp = model.decoder().mlp();
+  const auto& fcs = mlp.layers();
   MFN_CHECK(!fcs.empty(), "decoder MLP has no layers");
   std::shared_ptr<PreparedSnapshot> ps(new PreparedSnapshot());
   ps->version_ = version;
   ps->latent_channels_ = fcs.front()->in_features() - 3;
   ps->out_channels_ = fcs.back()->out_features();
-  ps->activation_ = decoder_mlp.activation();
-  ps->plannable_ = true;
+  ps->activation_ = mlp.activation();
+  ps->reduced_tiers_ = true;
   for (const auto& fc : fcs) {
     Layer layer;
     layer.in = fc->in_features();
@@ -73,29 +55,23 @@ std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::build(
       layer.bias.assign(b, b + layer.out);
     }
     if (layer.in <= backend::sgemm_prepacked_max_k()) {
-      layer.packed.resize(
-          backend::sgemm_prepack_b_floats(layer.in, layer.out));
-      backend::sgemm_prepack_b(backend::Trans::kYes, layer.in, layer.out,
-                               layer.weight.data(), layer.packed.data());
-      if (reduced_tiers) {
-        // Reduced-precision prepacks for the bf16/int8 plan tiers, built
-        // once here so replay pays zero quantization cost on the weights.
-        layer.packed_bf16.resize(
-            backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
-        backend::sgemm_prepack_b_bf16(backend::Trans::kYes, layer.in,
-                                      layer.out, layer.weight.data(),
-                                      layer.packed_bf16.data());
-        layer.packed_i8.resize(
-            backend::sgemm_prepack_b_int8_elems(layer.in, layer.out));
-        layer.w8.resize(static_cast<std::size_t>(layer.out * layer.in));
-        layer.scales.resize(static_cast<std::size_t>(layer.out));
-        backend::sgemm_prepack_b_int8(backend::Trans::kYes, layer.in,
-                                      layer.out, layer.weight.data(),
-                                      layer.packed_i8.data(),
-                                      layer.w8.data(), layer.scales.data());
-      }
+      // Reduced-precision prepacks for the bf16/int8 plan tiers, built
+      // once here so replay pays zero quantization cost on the weights.
+      layer.packed_bf16.resize(
+          backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
+      backend::sgemm_prepack_b_bf16(backend::Trans::kYes, layer.in,
+                                    layer.out, layer.weight.data(),
+                                    layer.packed_bf16.data());
+      layer.packed_i8.resize(
+          backend::sgemm_prepack_b_int8_elems(layer.in, layer.out));
+      layer.w8.resize(static_cast<std::size_t>(layer.out * layer.in));
+      layer.scales.resize(static_cast<std::size_t>(layer.out));
+      backend::sgemm_prepack_b_int8(backend::Trans::kYes, layer.in,
+                                    layer.out, layer.weight.data(),
+                                    layer.packed_i8.data(), layer.w8.data(),
+                                    layer.scales.data());
     } else {
-      ps->plannable_ = false;  // beyond the single-k-block panel range
+      ps->reduced_tiers_ = false;  // beyond the single-k-block panel range
     }
     ps->layers_.push_back(std::move(layer));
   }
@@ -117,32 +93,32 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
 
 std::shared_ptr<const DecodePlan> DecodePlan::compile(
     std::shared_ptr<const PreparedSnapshot> snap, const PlanKey& key) {
-  if (snap == nullptr || !snap->plannable()) return nullptr;
+  if (snap == nullptr) return nullptr;
   if (key.n < 1 || key.q < 1) return nullptr;
   if (key.lt < 2 || key.lz < 2 || key.lx < 2) return nullptr;
-  const auto& layers = snap->layers();
-  if (layers.empty()) return nullptr;
-  if ((key.precision == backend::Precision::kBf16 &&
-       layers.front().packed_bf16.empty()) ||
-      (key.precision == backend::Precision::kInt8 &&
-       layers.front().packed_i8.empty()))
-    return nullptr;  // a pack() snapshot: fp32 panels only
+  if (key.precision != backend::Precision::kFp32 && !snap->reduced_tiers())
+    return nullptr;
 
   std::shared_ptr<DecodePlan> plan(new DecodePlan());
   plan->snap_ = std::move(snap);
   plan->key_ = key;
   plan->b_total_ = key.n * key.q;
-  plan->in0_ = 3 + plan->snap_->latent_channels();
   plan->out_ch_ = plan->snap_->out_channels();
+  const auto& layers = plan->snap_->layers();
+  for (const auto& layer : layers)
+    plan->jet_layers_.push_back(
+        {layer.in, layer.out, layer.weight.data(),
+         layer.bias.empty() ? nullptr : layer.bias.data()});
+  if (key.precision == backend::Precision::kFp32) return plan;
+
+  plan->in0_ = 3 + plan->snap_->latent_channels();
   plan->slab_ = key.lt * key.lz * key.lx;
   for (int j = 0; j < 8; ++j) {
     const std::int64_t jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
     plan->corner_delta_[j] = (jt * key.lz + jz) * key.lx + jx;
   }
-
   std::int64_t wmax = plan->in0_;
   for (const auto& layer : layers) wmax = std::max(wmax, layer.out);
-  plan->wmax_ = wmax;
 
   void (*act_fn)(float*, std::int64_t) = nullptr;
   backend::FusedAct fact = backend::FusedAct::kNone;
@@ -164,8 +140,8 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   // Value arena: two ping-pong activation banks + the blend weight table.
   // The int8 tier appends a quantized-activation block (int16 viewed
   // through the float arena) and its per-row fp32 scales.
-  const std::int64_t bank = 8 * kMaxBlockQueries * wmax;
-  const std::int64_t rows_max = 8 * kMaxBlockQueries;
+  const std::int64_t rows_max = 8 * kBlockQueries;
+  const std::int64_t bank = rows_max * wmax;
   plan->off_in_ = 0;
   plan->off_w_ = 2 * bank;
   std::int64_t arena_floats = 2 * bank + rows_max;
@@ -184,67 +160,51 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const auto& layer = layers[li];
     const bool last = li + 1 == layers.size();
-    switch (key.precision) {
-      case backend::Precision::kFp32:
-      case backend::Precision::kBf16: {
-        backend::PlanStep gemm;
-        if (key.precision == backend::Precision::kFp32) {
-          gemm.kernel = backend::PlanKernel::kGemmPrepacked;
-          gemm.weights = layer.weight.data();
-          gemm.packed = layer.packed.data();
-        } else {
-          gemm.kernel = backend::PlanKernel::kGemmBf16;
-          gemm.packed_b16 = layer.packed_bf16.data();
-        }
-        gemm.in = cur;
-        gemm.out = nxt;
-        gemm.n = layer.out;
-        gemm.k = layer.in;
-        gemm.bias = layer.bias.empty() ? nullptr : layer.bias.data();
-        plan->prog_.steps.push_back(gemm);
-        if (!last) {
-          backend::PlanStep act;
-          act.kernel = backend::PlanKernel::kActivation;
-          act.out = nxt;
-          act.n = layer.out;
-          act.act_fn = act_fn;
-          plan->prog_.steps.push_back(act);
-        }
-        break;
+    const float* bias = layer.bias.empty() ? nullptr : layer.bias.data();
+    if (key.precision == backend::Precision::kBf16) {
+      backend::PlanStep gemm;
+      gemm.kernel = backend::PlanKernel::kGemmBf16;
+      gemm.packed_b16 = layer.packed_bf16.data();
+      gemm.in = cur;
+      gemm.out = nxt;
+      gemm.n = layer.out;
+      gemm.k = layer.in;
+      gemm.bias = bias;
+      plan->prog_.steps.push_back(gemm);
+      if (!last) {
+        backend::PlanStep act;
+        act.kernel = backend::PlanKernel::kActivation;
+        act.out = nxt;
+        act.n = layer.out;
+        act.act_fn = act_fn;
+        plan->prog_.steps.push_back(act);
       }
-      case backend::Precision::kInt8: {
-        backend::PlanStep quant;
-        quant.kernel = backend::PlanKernel::kQuantizeRows;
-        quant.in = cur;
-        quant.out = qbuf_off;
-        quant.aux = qscale_off;
-        quant.n = layer.in;
-        plan->prog_.steps.push_back(quant);
-        backend::PlanStep gemm;
-        gemm.kernel = backend::PlanKernel::kGemmInt8;
-        gemm.in = qbuf_off;
-        gemm.aux = qscale_off;
-        gemm.out = nxt;
-        gemm.n = layer.out;
-        gemm.k = layer.in;
-        gemm.packed_s8 = layer.packed_i8.data();
-        gemm.dense_s8 = layer.w8.data();
-        gemm.col_scale = layer.scales.data();
-        gemm.bias = layer.bias.empty() ? nullptr : layer.bias.data();
-        gemm.fact = last ? backend::FusedAct::kNone : fact;  // fused act
-        plan->prog_.steps.push_back(gemm);
-        break;
-      }
+    } else {
+      backend::PlanStep quant;
+      quant.kernel = backend::PlanKernel::kQuantizeRows;
+      quant.in = cur;
+      quant.out = qbuf_off;
+      quant.aux = qscale_off;
+      quant.n = layer.in;
+      plan->prog_.steps.push_back(quant);
+      backend::PlanStep gemm;
+      gemm.kernel = backend::PlanKernel::kGemmInt8;
+      gemm.in = qbuf_off;
+      gemm.aux = qscale_off;
+      gemm.out = nxt;
+      gemm.n = layer.out;
+      gemm.k = layer.in;
+      gemm.packed_s8 = layer.packed_i8.data();
+      gemm.dense_s8 = layer.w8.data();
+      gemm.col_scale = layer.scales.data();
+      gemm.bias = bias;
+      gemm.fact = last ? backend::FusedAct::kNone : fact;  // fused act
+      plan->prog_.steps.push_back(gemm);
     }
     std::swap(cur, nxt);
   }
   plan->off_final_ = cur;
-  plan->nblocks_ = std::max<std::int64_t>(1, plan->b_total_ / kBlockQueries);
-
-  for (const auto& layer : layers)
-    plan->jet_layers_.push_back(
-        {layer.in, layer.out, layer.weight.data(),
-         layer.bias.empty() ? nullptr : layer.bias.data()});
+  plan->nblocks_ = (plan->b_total_ + kBlockQueries - 1) / kBlockQueries;
   return plan;
 }
 
@@ -270,10 +230,20 @@ void DecodePlan::check_inputs(const Tensor& latent,
   }
 }
 
+jet::Grid DecodePlan::grid(const Tensor& latent) const {
+  return {latent.data(), key_.n,  key_.q, snap_->latent_channels(),
+          key_.lt,       key_.lz, key_.lx};
+}
+
 Tensor DecodePlan::execute(const Tensor& latent,
                            const Tensor& query_coords) const {
   check_inputs(latent, query_coords);
   Tensor out = Tensor::uninitialized(Shape{b_total_, out_ch_});
+  if (key_.precision == backend::Precision::kFp32) {
+    jet::forward(grid(latent), query_coords.data(), jet_layers_,
+                 snap_->activation(), {out.data()});
+    return out;
+  }
   const float* pl = latent.data();
   const float* pq = query_coords.data();
   float* po = out.data();
@@ -287,9 +257,8 @@ Tensor DecodePlan::execute(const Tensor& latent,
         float* arena = ws.alloc(prog_.arena_floats);
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t q0 = blk * kBlockQueries;
-          const std::int64_t q1 =
-              blk + 1 == nblocks_ ? b_total_ : q0 + kBlockQueries;
-          run_block(pl, pq, po, q0, q1, arena);
+          run_block(pl, pq, po, q0, std::min(q0 + kBlockQueries, b_total_),
+                    arena);
         }
         ws.release(m);
       },
@@ -359,11 +328,8 @@ PlannedDerivs DecodePlan::execute_derivatives(
     *members[m] = Tensor::uninitialized(Shape{b_total_, out_ch_});
     outs[m] = members[m]->data();
   }
-  const jet::Grid grid{latent.data(), key_.n,  key_.q,
-                       snap_->latent_channels(), key_.lt, key_.lz,
-                       key_.lx};
-  jet::forward(grid, query_coords.data(), jet_layers_, snap_->activation(),
-               outs);
+  jet::forward(grid(latent), query_coords.data(), jet_layers_,
+               snap_->activation(), outs);
   return out;
 }
 
@@ -392,7 +358,7 @@ std::shared_ptr<const DecodePlan> PlanCache::get_or_compile(
   // Compile outside the lock: a miss on one shape must not serialize
   // replays (or other compiles) behind it.
   std::shared_ptr<const DecodePlan> plan = DecodePlan::compile(snap, key);
-  if (plan == nullptr) return nullptr;  // unplannable: tape fallback
+  if (plan == nullptr) return nullptr;  // not compiled: not cached
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.compiles;

@@ -1,50 +1,39 @@
-// Compiled decode plans: the no-grad value decode of the Continuous
-// Decoding Network.
-//
-// A no-grad decode is the same graph every time — only the data changes.
-// The tape path re-walks the op graph, re-derives corner geometry into
-// intermediate tensors, and re-packs the decoder weight panels inside
-// every SGEMM. This module compiles that work away, in two stages:
+// Compiled decode plans: the serving decode of the Continuous Decoding
+// Network, at three precision tiers.
 //
 //  - PreparedSnapshot: an immutable, self-contained copy of the decoder
-//    MLP. pack() clones its weights and biases out of the module tree and
-//    prepacks them into persistent SGEMM panels (backend::sgemm_prepack_b)
-//    without touching the module. prepare() also freezes a model for
-//    serving — eval mode, and the encoder's conv->BN affines folded ahead
-//    of time (Module::prepare_inference) — and runs once per swap_model /
-//    reload_from_checkpoint. Plans reference the snapshot's buffers by
-//    pointer, so a cached plan stays valid even after the source model is
-//    hot-swapped away.
+//    MLP, made by prepare() once per swap_model / reload_from_checkpoint.
+//    prepare() also freezes the model for serving — eval mode, and the
+//    encoder's conv->BN affines folded ahead of time
+//    (Module::prepare_inference) — and prepacks every layer whose input
+//    fits backend::sgemm_prepacked_max_k() into bf16 and int8 panels
+//    (backend/sgemm.h). Plans reference the snapshot's buffers by pointer,
+//    so a cached plan stays valid after the source model is hot-swapped
+//    away.
 //
-//  - DecodePlan: lowers the no-grad decode for one concrete (snapshot
-//    version, N, Q, grid, precision) shape into a flat
-//    backend::PlanProgram — fused corner gather, prepacked-weight GEMMs,
-//    in-place activations, trilinear blend — over fixed float offsets
-//    carved from the executing thread's workspace arena. Replay does zero
-//    graph traversal, zero dispatch branching, zero heap allocation, and
-//    zero per-call weight packing. Work runs in fixed global blocks of
-//    256 queries (the last block takes the remainder), so output bits do
-//    not depend on MFN_NUM_THREADS.
+//  - DecodePlan: the decode for one concrete (snapshot version, N, Q,
+//    grid, precision) shape. An fp32 plan runs the fused decoder kernel's
+//    value pass (core/decode_jet.h) over the snapshot's weights: any
+//    width, within 1e-5 of the tape decode relative to its largest entry,
+//    and bitwise equal to the no-grad ContinuousDecoder::decode, which
+//    runs the same pass over the live MLP. A bf16 or int8 plan lowers the
+//    decode into a flat backend::PlanProgram — fused corner gather,
+//    reduced-precision prepacked GEMMs, activations, trilinear blend —
+//    over fixed float offsets carved from the executing thread's
+//    workspace arena, and matches the tape only within its tier's error
+//    bound. Replay does no graph traversal and no heap allocation beyond
+//    the output tensor, and output bits do not depend on MFN_NUM_THREADS.
 //
-// Two callers compile plans. ContinuousDecoder::decode, under NoGradGuard,
-// packs the current weights and compiles an fp32 plan on every call (it
-// caches nothing: optimizers update weights in place, and no weight
-// version exists to invalidate a cache on). The serving layer compiles
-// once per shape into a PlanCache LRU against the snapshot prepare() made.
-// fp32 plans are bitwise identical to the tape decode, which stays their
-// test oracle; bf16/int8 plans replay the reduced-precision prepacked
-// kernels (backend/sgemm.h) and match the tape only within documented
-// error bounds.
+// The serving layer compiles once per shape into a PlanCache LRU against
+// the snapshot prepare() made. execute_derivatives() covers
+// predict_with_derivatives by running the derivative node's forward over
+// the snapshot's fp32 weights — no tape and no per-call tensors beyond the
+// six outputs.
 //
-// execute_derivatives() covers predict_with_derivatives by running the
-// derivative node's forward (core/decode_jet.h) over the snapshot's fp32
-// weights — no tape and no per-call tensors beyond the six outputs.
-//
-// Shapes the compiler cannot lower (a decoder layer wider than the
-// prepacked panel range, or no queries) return nullptr from compile();
-// callers fall back to the tape path. The PreparedSnapshot layer format
-// plus the backend::PlanKernel tag is the seam the quantized weight tiers
-// plug into.
+// compile() returns nullptr for a shape without queries and for a bf16 or
+// int8 key on a snapshot whose layers are too wide for the reduced-tier
+// panels (PreparedSnapshot::reduced_tiers()); the serving layer then
+// serves fp32.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +59,9 @@ class PreparedSnapshot {
     std::int64_t in = 0, out = 0;
     std::vector<float> weight;  // dense (out, in) clone
     std::vector<float> bias;    // out entries; empty when the layer has none
-    std::vector<float> packed;  // sgemm_prepack_b panels (empty if too wide)
-    // Reduced-precision prepacks, built by prepare() only (empty after
-    // pack(), and when the layer is too wide): bf16 panels, int8
-    // pair-interleaved panels + dense int8 weights + per-output-column
-    // fp32 dequant scales.
+    // Reduced-precision prepacks (empty when the layer is too wide for the
+    // panels): bf16 panels, int8 pair-interleaved panels + dense int8
+    // weights + per-output-column fp32 dequant scales.
     std::vector<std::uint16_t> packed_bf16;
     std::vector<std::int16_t> packed_i8;
     std::vector<std::int8_t> w8;
@@ -82,39 +69,30 @@ class PreparedSnapshot {
   };
 
   /// Freeze `model` for serving (set_training(false) +
-  /// Module::prepare_inference()) and pack its decoder MLP for every
-  /// precision tier.
+  /// Module::prepare_inference()), clone its decoder MLP and prepack it
+  /// for the reduced-precision tiers.
   static std::shared_ptr<const PreparedSnapshot> prepare(
       MeshfreeFlowNet& model, std::uint64_t version);
-
-  /// Clone a decoder MLP (input rows [3 relative coords | latent
-  /// channels]) and prepack it for fp32 plans only. Reads the module and
-  /// changes nothing in it — no training-mode switch, no eval folds.
-  static std::shared_ptr<const PreparedSnapshot> pack(
-      const nn::MLP& decoder_mlp, std::uint64_t version);
 
   std::uint64_t version() const { return version_; }
   const std::vector<Layer>& layers() const { return layers_; }
   nn::Activation activation() const { return activation_; }
   std::int64_t latent_channels() const { return latent_channels_; }
   std::int64_t out_channels() const { return out_channels_; }
-  /// False when some layer exceeds the prepacked panel range — plans for
-  /// this snapshot cannot compile and callers stay on the tape path.
-  bool plannable() const { return plannable_; }
+  /// True when every layer carries the bf16 and int8 prepacks. A layer
+  /// wider than backend::sgemm_prepacked_max_k() leaves the snapshot
+  /// fp32-only: compile() refuses its reduced-precision keys.
+  bool reduced_tiers() const { return reduced_tiers_; }
 
  private:
   PreparedSnapshot() = default;
-
-  static std::shared_ptr<const PreparedSnapshot> build(
-      const nn::MLP& decoder_mlp, std::uint64_t version,
-      bool reduced_tiers);
 
   std::uint64_t version_ = 0;
   std::int64_t latent_channels_ = 0;
   std::int64_t out_channels_ = 0;
   nn::Activation activation_ = nn::Activation::kSoftplus;
   std::vector<Layer> layers_;
-  bool plannable_ = false;
+  bool reduced_tiers_ = false;
 };
 
 /// One concrete decode shape: snapshot version, query batch, latent grid,
@@ -144,19 +122,20 @@ struct PlannedDerivs {
 
 class DecodePlan {
  public:
-  /// Lower the decode for `key`'s shape against `snap`'s weights. Returns
-  /// nullptr when the shape cannot be lowered (see PreparedSnapshot::
-  /// plannable) or `snap` lacks the key's precision tier; callers must
-  /// then take the tape path.
+  /// Compile the decode for `key`'s shape against `snap`'s weights.
+  /// Returns nullptr for a shape without queries or a grid without a
+  /// cell, and for a bf16/int8 key when `snap` lacks that tier's panels
+  /// (PreparedSnapshot::reduced_tiers()).
   static std::shared_ptr<const DecodePlan> compile(
       std::shared_ptr<const PreparedSnapshot> snap, const PlanKey& key);
 
   /// Replay: values at the query points, (N*Q, out_channels). `latent` is
   /// (N, C, LT, LZ, LX) matching the key; `query_coords` is (B, 3) or
   /// (N, Q, 3) with B == N*Q rows either way. Output bits do not depend
-  /// on MFN_NUM_THREADS. fp32 plans are bitwise identical to the tape
-  /// decode; bf16/int8 plans match it only within their tier's error
-  /// bound.
+  /// on MFN_NUM_THREADS, and an fp32 query's bits depend only on its
+  /// coordinates, its latent and the weights. fp32 plans run the value
+  /// pass, bitwise the no-grad decode() and within 1e-5 of the tape;
+  /// bf16/int8 plans match the tape only within their tier's error bound.
   Tensor execute(const Tensor& latent, const Tensor& query_coords) const;
 
   /// Replay with exact forward-mode coordinate derivatives (the
@@ -172,27 +151,26 @@ class DecodePlan {
   DecodePlan() = default;
 
   void check_inputs(const Tensor& latent, const Tensor& query_coords) const;
+  jet::Grid grid(const Tensor& latent) const;
   void run_block(const float* latent, const float* coords, float* out,
                  std::int64_t q0, std::int64_t q1, float* arena) const;
 
   std::shared_ptr<const PreparedSnapshot> snap_;
   PlanKey key_;
   std::int64_t b_total_ = 0;  // N * Q
-  std::int64_t in0_ = 0;      // 3 + latent channels
   std::int64_t out_ch_ = 0;
-  std::int64_t wmax_ = 0;     // widest activation panel
-  std::int64_t slab_ = 0;     // latent channel stride: LT * LZ * LX
-  std::int64_t corner_delta_[8] = {};  // gather offset of corner j
+  // The snapshot's fp32 layers: the value pass and the derivative replay.
+  std::vector<jet::Layer> jet_layers_;
 
-  // Value program: fixed offsets into one per-chunk arena.
+  // bf16/int8 program: fixed offsets into one per-block arena.
+  std::int64_t in0_ = 0;   // 3 + latent channels
+  std::int64_t slab_ = 0;  // latent channel stride: LT * LZ * LX
+  std::int64_t corner_delta_[8] = {};  // gather offset of corner j
   backend::PlanProgram prog_;
   std::int64_t off_in_ = 0;     // gather destination (first GEMM input)
   std::int64_t off_final_ = 0;  // last GEMM output (blend source)
   std::int64_t off_w_ = 0;      // trilinear weights, one per block row
   std::int64_t nblocks_ = 0;
-
-  // Derivative replay: the snapshot's fp32 layers.
-  std::vector<jet::Layer> jet_layers_;
 };
 
 /// Shape-keyed LRU of compiled plans, shared by the serving layer. Same
@@ -217,10 +195,10 @@ class PlanCache {
   explicit PlanCache(std::size_t max_entries = 64);
 
   /// Cached plan for the shape, compiling (outside the lock) on miss.
-  /// Returns nullptr for unplannable shapes — not cached, callers fall
-  /// back to the tape path. Plans for versions older than the newest
-  /// drop_stale_versions() floor are still returned (the caller holds that
-  /// snapshot and the math is correct) but never (re)inserted.
+  /// Returns nullptr when compile() does — not cached. Plans for versions
+  /// older than the newest drop_stale_versions() floor are still returned
+  /// (the caller holds that snapshot and the math is correct) but never
+  /// (re)inserted.
   std::shared_ptr<const DecodePlan> get_or_compile(
       const std::shared_ptr<const PreparedSnapshot>& snap, std::int64_t n,
       std::int64_t q, std::int64_t lt, std::int64_t lz, std::int64_t lx,

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "core/decode_jet.h"
-#include "core/decode_plan.h"
 #include "threading/thread_pool.h"
 
 namespace mfn::core {
@@ -131,17 +130,16 @@ ad::Var ContinuousDecoder::decode(const ad::Var& latent,
   const std::int64_t q = queries_per_sample(latent, query_coords);
 
   if (ad::NoGradGuard::active()) {
-    // No tape to record: replay an fp32 plan compiled for this call's
-    // shape against a snapshot of the current weights. Nothing is cached,
-    // because optimizers update the weights in place. Shapes the plan
-    // cannot lower fall through to the tape ops, which record nothing
-    // under the guard.
-    const PlanKey key{/*version=*/0, latent.dim(0), q,
-                      latent.dim(2), latent.dim(3), latent.dim(4)};
-    if (const auto plan = DecodePlan::compile(
-            PreparedSnapshot::pack(*mlp_, /*version=*/0), key))
-      return ad::Var(plan->execute(latent.value(), query_coords),
-                     /*requires_grad=*/false);
+    // No tape to record: the fused kernel's value pass over the MLP's own
+    // weights, which optimizers update in place.
+    const Tensor& lat = latent.value();
+    Tensor out =
+        Tensor::uninitialized(Shape{lat.dim(0) * q, config_.out_channels});
+    jet::forward({lat.data(), lat.dim(0), q, lat.dim(1), lat.dim(2),
+                  lat.dim(3), lat.dim(4)},
+                 query_coords.data(), jet::layers_of(*mlp_),
+                 mlp_->activation(), {out.data()});
+    return ad::Var(std::move(out), /*requires_grad=*/false);
   }
 
   const CornerGeometry geo = make_corners(latent, query_coords, q);

@@ -58,11 +58,9 @@ class ContinuousDecoder : public nn::Module {
   /// (B, out_channels) resp. (N*Q, out_channels) with sample-major rows.
   /// On the tape, all (sample, query) pairs run through the shared MLP as
   /// one wide SGEMM-backed forward. Under NoGradGuard the call instead
-  /// compiles an fp32 DecodePlan (core/decode_plan.h) for its shape
-  /// against a PreparedSnapshot of the current weights and replays it —
-  /// bitwise the tape's values — and runs the tape ops only when the plan
-  /// cannot be compiled (a layer wider than the prepacked panel range, or
-  /// no queries). Nothing is cached between calls.
+  /// runs the fused kernel's value pass (core/decode_jet.h) over the MLP's
+  /// current weights, within 1e-5 of the tape's values relative to their
+  /// largest entry; it allocates only the output tensor and caches nothing.
   ad::Var decode(const ad::Var& latent, const Tensor& query_coords);
 
   /// Decode with forward-mode first and second coordinate derivatives.

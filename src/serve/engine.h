@@ -60,8 +60,8 @@ struct InferenceEngineConfig {
   std::size_t plan_cache_entries = 64;
   /// Default decode precision tier for tenant 0 (the construction model).
   /// Further tenants set theirs via TenantConfig. Requests may override
-  /// per call; unplannable shapes and the derivative bundle fall back to
-  /// fp32 (counted in batcher_stats()).
+  /// per call; decoders too wide for the reduced-tier panels and the
+  /// derivative bundle fall back to fp32 (counted in batcher_stats()).
   backend::Precision decode_precision = backend::Precision::kFp32;
   QueryBatcherConfig batcher;
   /// Reload policy for tenant 0; further tenants set theirs via

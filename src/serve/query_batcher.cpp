@@ -494,13 +494,13 @@ std::vector<std::vector<std::size_t>> QueryBatcher::plan_decode_units(
   return units;
 }
 
-// One unit's decode. Prefers replaying a cached DecodePlan at the
-// requested precision — zero graph traversal / dispatch / allocation /
-// weight packing; fp32 plans are bitwise identical to the tape decode,
-// bf16/int8 within their tier's error bound — and falls back to the
-// no-grad decode() (fp32: a per-call plan, or the tape for unplannable
-// shapes) when the snapshot carries no prepared weights or the shape does
-// not compile. *served reports the tier that actually ran, so reduced-tier
+// One unit's decode. Replays a cached DecodePlan at the requested
+// precision — zero graph traversal / dispatch / allocation / weight
+// packing; fp32 plans run the fused kernel's value pass, bf16/int8 match
+// the tape within their tier's error bound — or, when that tier does not
+// compile for the snapshot, the fp32 plan. Without prepared weights the
+// unit runs the no-grad decode(), the same fp32 value pass over the live
+// model. *served reports the tier that actually ran, so reduced-tier
 // fallback is never silent.
 Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
                                  const Tensor& latent, const Tensor& coords,
@@ -511,8 +511,7 @@ Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
   if (auto f = failpoint::poll("serve.slow_decode"))
     std::this_thread::sleep_for(std::chrono::microseconds(
         static_cast<std::int64_t>(f->arg * 1e3)));
-  if (snap.plans != nullptr && snap.prepared != nullptr &&
-      snap.prepared->plannable()) {
+  if (snap.plans != nullptr && snap.prepared != nullptr) {
     std::int64_t n = 1, q = 0;
     if (coords.ndim() == 2) {
       q = coords.dim(0);
@@ -520,12 +519,16 @@ Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
       n = coords.dim(0);
       q = coords.dim(1);
     }
-    std::shared_ptr<const core::DecodePlan> plan =
-        snap.plans->get_or_compile(snap.prepared, n, q, latent.dim(2),
-                                   latent.dim(3), latent.dim(4), precision);
+    auto plan_at = [&](backend::Precision p) {
+      return snap.plans->get_or_compile(snap.prepared, n, q, latent.dim(2),
+                                        latent.dim(3), latent.dim(4), p);
+    };
+    std::shared_ptr<const core::DecodePlan> plan = plan_at(precision);
+    if (plan == nullptr && precision != backend::Precision::kFp32)
+      plan = plan_at(backend::Precision::kFp32);
     if (plan != nullptr) {
       *planned = true;
-      *served = precision;
+      *served = plan->key().precision;
       return plan->execute(latent, coords);
     }
   }

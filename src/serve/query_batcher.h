@@ -54,9 +54,10 @@
 //    FIFO drain.
 //
 // Correctness properties the test suite pins:
-//  - parity: coalescing never changes a request's values beyond float
-//    tolerance — decode computes each query row independently of which
-//    rows share its GEMM;
+//  - parity: at fp32, coalescing never changes a bit of a request's
+//    values — the value pass computes each query from its coordinates,
+//    its latent and the weights alone; the bf16/int8 tiers keep them
+//    within float tolerance;
 //  - snapshot atomicity: a group never mixes snapshots, so every response
 //    is computed wholly by one model snapshot even while the engine
 //    hot-swaps mid-traffic;
@@ -123,8 +124,8 @@ struct ModelSnapshot {
   /// compiled from it never dangle into the module tree).
   std::shared_ptr<const core::PreparedSnapshot> prepared;
   /// The engine's shared plan cache; null sends every decode through
-  /// ContinuousDecoder::decode, which compiles a plan per call
-  /// (standalone batcher uses in tests).
+  /// the no-grad ContinuousDecoder::decode (standalone batcher uses in
+  /// tests).
   std::shared_ptr<core::PlanCache> plans;
   /// Default decode precision tier for requests that don't override it.
   /// Non-fp32 tiers fall back to fp32 (visibly, via Stats::
@@ -217,14 +218,14 @@ class QueryBatcher {
     std::uint64_t flushes_immediate = 0;
     std::uint64_t decode_calls = 0;   ///< decoder invocations (groups)
     std::uint64_t planned_decodes = 0;  ///< units served by cached plans
-    /// Units not served from the plan cache: they ran decode(), which
-    /// compiles a per-call plan or, for unplannable shapes, the tape.
+    /// Units not served from the plan cache: they ran the no-grad
+    /// decode() (the snapshot carries no prepared weights or plan cache).
     std::uint64_t tape_decodes = 0;
     std::uint64_t planned_bf16 = 0;     ///< planned units on the bf16 tier
     std::uint64_t planned_int8 = 0;     ///< planned units on the int8 tier
-    /// Units that requested a reduced tier but were served fp32 (shape
-    /// unplannable at that tier, or no prepared weights). Fallback is
-    /// never silent: it always shows up here.
+    /// Units that requested a reduced tier but were served fp32 (a
+    /// decoder too wide for that tier's panels, or no prepared weights).
+    /// Fallback is never silent: it always shows up here.
     std::uint64_t precision_fallbacks = 0;
     std::uint64_t max_flush_rows = 0; ///< largest coalesced flush seen
     // -- deadline accounting ------------------------------------------
@@ -383,10 +384,11 @@ class QueryBatcher {
   void execute_unit(std::vector<Request>& batch,
                     const std::vector<std::size_t>& members);
   /// One unit's decode, routed through a cached DecodePlan replay at the
-  /// requested precision when the snapshot carries prepared weights and
-  /// the shape compiles; the no-grad ContinuousDecoder::decode (always
-  /// fp32) otherwise. Sets *planned and *served (the tier that actually
-  /// computed the rows — fp32 when a reduced-tier request fell back).
+  /// requested precision when the snapshot carries prepared weights — the
+  /// fp32 plan when that tier does not compile — and through the no-grad
+  /// ContinuousDecoder::decode (always fp32) otherwise. Sets *planned and
+  /// *served (the tier that actually computed the rows — fp32 when a
+  /// reduced-tier request fell back).
   static Tensor decode_unit(const ModelSnapshot& snap, const Tensor& latent,
                             const Tensor& coords,
                             backend::Precision precision, bool* planned,

@@ -4,8 +4,8 @@
 // trainer step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/rng.h"
 #include "core/losses.h"
@@ -121,30 +121,36 @@ INSTANTIATE_TEST_SUITE_P(
                                          nn::Activation::kTanh,
                                          nn::Activation::kReLU)));
 
-TEST(BatchedDecode, NoGradPlanPathMatchesTapePathBitwise) {
-  // decode() replays a per-call DecodePlan under NoGradGuard and runs the
-  // tape ops otherwise; both must agree bit for bit.
+TEST(BatchedDecode, NoGradValuePassMatchesTapePath) {
+  // decode() runs the fused kernel's value pass under NoGradGuard and the
+  // tape ops otherwise. The value pass projects the blended last hidden
+  // layer once per query, so the two agree within the derivative node's
+  // member gate: 1e-5 of the largest entry.
   for (auto act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
                    nn::Activation::kReLU}) {
     Rng rng(505);
     MeshfreeFlowNet model(tiny_model_config(act), rng);
     model.set_training(false);
-    const std::int64_t N = 4, Q = 300;  // spans several 256-query blocks
+    const std::int64_t N = 4, Q = 300;  // spans several 64-query blocks
     Tensor lr = Tensor::randn(Shape{N, 4, 4, 8, 8}, rng, 0.5f);
     Tensor coords = batched_coords(N, Q, rng);
 
     ad::Var latent = model.encode(lr);
     ad::Var taped = model.decoder().decode(latent, coords);
-    Tensor planned;
+    Tensor value_pass;
     {
       ad::NoGradGuard guard;
-      planned = model.decoder().decode(latent, coords).value();
+      value_pass = model.decoder().decode(latent, coords).value();
     }
-    ASSERT_EQ(planned.shape(), taped.shape());
-    EXPECT_EQ(0, std::memcmp(planned.data(), taped.value().data(),
-                             static_cast<std::size_t>(planned.numel()) *
-                                 sizeof(float)))
-        << "no-grad decode is not bit-identical to the tape decode";
+    ASSERT_EQ(value_pass.shape(), taped.shape());
+    double err = 0.0, scale = 0.0;
+    for (std::int64_t i = 0; i < value_pass.numel(); ++i) {
+      const double want = taped.value().data()[i];
+      err = std::max(err, std::abs(value_pass.data()[i] - want));
+      scale = std::max(scale, std::abs(want));
+    }
+    EXPECT_LT(err, 1e-5 * scale)
+        << "no-grad decode drifted from the tape decode";
   }
 }
 

@@ -4,10 +4,10 @@
 // MLP weight and bias, for softplus, tanh and ReLU over decoder widths that
 // are ragged against every SIMD tier, wider than one column panel, or a
 // single output, and over several query shapes, on the vector and the
-// scalar lanes, and for a decoder without a hidden layer; bitwise
-// equality of a serial and a pooled run; a warmed
-// step that never reaches the heap; and rejection of non-finite
-// coordinates.
+// scalar lanes, and for a decoder without a hidden layer; the value pass
+// against the bundle's value member and the tape; bitwise equality of a
+// serial and a pooled run; a warmed step that never reaches the heap; and
+// rejection of non-finite coordinates.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -338,6 +338,75 @@ TEST(DecodeJet, LinearDecoderMatchesTapeReference) {
     for (std::size_t i = 0; i < want.grads.size(); ++i)
       EXPECT_LT(rel_err(got.grads[i], want.grads[i]), 1e-4)
           << "gradient " << i;
+  }
+}
+
+// jet::forward asked for the value alone runs the value pass. It carries
+// the bundle's value stream through the same kernels, so on the vector
+// lanes it equals the six-member forward's value member bit for bit; on
+// the scalar lanes, and against the tape decode, it stays within the
+// member gate.
+TEST(DecodeJet, ValueOnlyMatchesBundleValueMember) {
+  using Hidden = std::vector<std::int64_t>;
+  const std::int64_t n = 3, q = 257;
+  for (const bool scalar : {false, true}) {
+    ScopedForceScalar lanes(scalar);
+    int cases = 0, bitwise = 0;
+    double worst_bundle = 0.0, worst_tape = 0.0;
+    std::uint64_t seed = 300;
+    for (nn::Activation act :
+         {nn::Activation::kSoftplus, nn::Activation::kTanh,
+          nn::Activation::kReLU})
+      for (const Hidden& hidden : {Hidden{}, Hidden{8}, Hidden{24, 24},
+                                   Hidden{32, 32}, Hidden{64, 64},
+                                   Hidden{400, 16}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (scalar ? "scalar" : "vector") << " lanes, "
+                     << "activation " << static_cast<int>(act) << ", "
+                     << hidden.size() << " hidden layers of "
+                     << (hidden.empty() ? 0 : hidden.front()));
+        Rng rng(++seed);
+        ContinuousDecoder dec(decoder_config(act, hidden), rng);
+        const Tensor latent =
+            Tensor::randn(Shape{n, kC, kLT, kLZ, kLX}, rng, 0.5f);
+        const Tensor coords = make_coords(rng, n, q);
+        const core::jet::Grid grid{latent.data(), n, q, kC, kLT, kLZ, kLX};
+        const std::vector<core::jet::Layer> layers =
+            core::jet::layers_of(dec.mlp());
+        std::array<Tensor, 6> bundle;
+        std::array<float*, 6> outs{};
+        for (std::size_t m = 0; m < bundle.size(); ++m) {
+          bundle[m] = Tensor::uninitialized(Shape{n * q, kOut});
+          outs[m] = bundle[m].data();
+        }
+        core::jet::forward(grid, coords.data(), layers, act, outs);
+        Tensor value = Tensor::uninitialized(Shape{n * q, kOut});
+        core::jet::forward(grid, coords.data(), layers, act, {value.data()});
+        const Tensor tape =
+            dec.decode(ad::Var(latent, /*requires_grad=*/false), coords)
+                .value();
+
+        // With FMA hardware the compiler contracts the scalar lanes'
+        // float arithmetic per inlined copy, so there the two may differ
+        // in the last bits and only the member gate is asserted.
+        ++cases;
+        const bool same = bitwise_equal(value, bundle[0]);
+        bitwise += same ? 1 : 0;
+        if (!scalar) {
+          EXPECT_TRUE(same) << "value pass vs bundle value member";
+        }
+        const double e_bundle = rel_err(value, bundle[0]);
+        const double e_tape = rel_err(value, tape);
+        worst_bundle = std::max(worst_bundle, e_bundle);
+        worst_tape = std::max(worst_tape, e_tape);
+        EXPECT_LT(e_bundle, 1e-5);
+        EXPECT_LT(e_tape, 1e-5);
+      }
+    std::printf("%s lanes: value pass bitwise equal to the bundle's value "
+                "member in %d of %d configurations; largest error relative "
+                "to the largest entry: vs bundle %.3g, vs tape %.3g\n",
+                scalar ? "scalar" : "vector", bitwise, cases, worst_bundle,
+                worst_tape);
   }
 }
 

@@ -4,7 +4,8 @@
 // across thread counts per tier, forced-scalar vs SIMD kernel parity
 // (int8 bitwise, bf16 tolerance — the sse2 tier's unfused multiply-add
 // rounds differently than scalar fmaf), per-precision plan-cache entries +
-// hot-swap invalidation, fp32 fallback visibility for unplannable shapes,
+// hot-swap invalidation, fp32 fallback visibility for decoders too wide
+// for the reduced-tier panels,
 // and the reconstruction-MSE accuracy gate.
 #include <gtest/gtest.h>
 
@@ -61,7 +62,7 @@ Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q, bool flat) {
 }
 
 // The plans' oracle: the decode built on the tape. It runs without
-// NoGradGuard because a no-grad decode() replays a plan itself.
+// NoGradGuard because a no-grad decode() runs the fused value pass.
 Tensor tape_decode(core::MeshfreeFlowNet& model, const Tensor& latent,
                    const Tensor& coords) {
   ad::Var lv(latent, /*requires_grad=*/false);
@@ -104,10 +105,10 @@ double tier_bound(backend::Precision p) {
 TEST(QuantizedPrepack, SnapshotCarriesAllTiers) {
   auto model = make_model(301);
   auto snap = core::PreparedSnapshot::prepare(*model, 1);
-  ASSERT_TRUE(snap->plannable());
+  ASSERT_TRUE(snap->reduced_tiers());
   for (const auto& layer : snap->layers()) {
-    EXPECT_EQ(layer.packed_bf16.size(), layer.packed.size())
-        << "bf16 panels share the fp32 panel geometry";
+    EXPECT_EQ(layer.packed_bf16.size(),
+              backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
     EXPECT_FALSE(layer.packed_i8.empty());
     EXPECT_EQ(layer.w8.size(),
               static_cast<std::size_t>(layer.in * layer.out));
@@ -126,17 +127,20 @@ TEST(QuantizedPrepack, SnapshotCarriesAllTiers) {
   }
 }
 
-TEST(QuantizedPrepack, TooWideLayerDisablesEveryTier) {
+TEST(QuantizedPrepack, TooWideLayerDisablesTheReducedTiers) {
   core::MFNConfig cfg = core::MFNConfig::small_default();
   cfg.decoder.hidden = {400, 16};  // K = 400 > sgemm_prepacked_max_k()
   ASSERT_GT(400, backend::sgemm_prepacked_max_k());
   Rng rng(311);
   core::MeshfreeFlowNet model(cfg, rng);
   auto snap = core::PreparedSnapshot::prepare(model, 1);
-  EXPECT_FALSE(snap->plannable());
+  EXPECT_FALSE(snap->reduced_tiers());
+  EXPECT_NE(core::DecodePlan::compile(
+                snap, core::PlanKey{1, 1, 16, kLT, kLZ, kLX}),
+            nullptr)
+      << "fp32 plans have no width limit";
   for (const backend::Precision prec :
-       {backend::Precision::kFp32, backend::Precision::kBf16,
-        backend::Precision::kInt8}) {
+       {backend::Precision::kBf16, backend::Precision::kInt8}) {
     EXPECT_EQ(core::DecodePlan::compile(
                   snap, core::PlanKey{1, 1, 16, kLT, kLZ, kLX, prec}),
               nullptr)
@@ -153,7 +157,7 @@ TEST_P(QuantizedParity, MatchesTapeWithinTierBoundAcrossShapes) {
   const backend::Precision prec = GetParam();
   auto model = make_model(321);
   auto snap = core::PreparedSnapshot::prepare(*model, 1);
-  ASSERT_TRUE(snap->plannable());
+  ASSERT_TRUE(snap->reduced_tiers());
   Rng rng(322);
   for (std::int64_t n : {1, 3, 8}) {
     for (std::int64_t q : {1, 255, 256, 1000}) {
@@ -425,13 +429,14 @@ TEST(QuantizedServe, EngineRoutesAndRecordsTheServedTier) {
                            static_cast<std::size_t>(want.numel()) *
                                sizeof(float)))
       << "int8-tier serve silently fell back to fp32";
-  // Per-request overrides: bf16 and explicit fp32 (bitwise vs tape).
+  // Per-request overrides: bf16, and explicit fp32, bitwise the no-grad
+  // predict (both run the value pass).
   const Tensor got_bf16 =
       engine.query_sync(1, patch, coords, backend::Precision::kBf16);
   EXPECT_LT(max_abs_diff(got_bf16, want), kBf16Bound);
   const Tensor got_fp32 =
       engine.query_sync(1, patch, coords, backend::Precision::kFp32);
-  expect_bitwise_equal(got_fp32, want, "fp32 override vs tape predict");
+  expect_bitwise_equal(got_fp32, want, "fp32 override vs no-grad predict");
 
   const auto bs = engine.batcher_stats();
   EXPECT_EQ(bs.planned_decodes, 3u);
@@ -460,13 +465,15 @@ TEST(QuantizedServe, UnplannableShapeFallsBackVisiblyToFp32) {
   ecfg.decode_precision = backend::Precision::kInt8;
   serve::InferenceEngine engine(std::move(model), ecfg);
   const Tensor got = engine.query_sync(1, patch, coords);
-  // Fallback serves the exact fp32 tape result and is recorded, never
-  // silent.
-  expect_bitwise_equal(got, want, "fallback serve vs tape predict");
+  // The fp32 plan serves the fallback, bitwise the no-grad predict, and
+  // the fallback is recorded, never silent.
+  expect_bitwise_equal(got, want, "fallback serve vs no-grad predict");
   const auto bs = engine.batcher_stats();
-  EXPECT_EQ(bs.tape_decodes, 1u);
+  EXPECT_EQ(bs.planned_decodes, 1u);
+  EXPECT_EQ(bs.tape_decodes, 0u);
   EXPECT_EQ(bs.planned_int8, 0u);
   EXPECT_EQ(bs.precision_fallbacks, 1u);
+  EXPECT_EQ(engine.plan_stats().entries, 1u);  // the fp32 plan only
 }
 
 // --------------------------------------------------------- accuracy gate

@@ -5,9 +5,11 @@
 // across thread-pool sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <thread>
@@ -181,41 +183,92 @@ TEST(LatentCache, DropStaleVersions) {
 
 // ---------------------------------------------------- coalescing / parity
 
+// One request of a coalescing round: the patch it decodes against and
+// its query coordinates.
+struct RoundRequest {
+  std::uint64_t patch_id;
+  Tensor patch;
+  Tensor coords;
+};
+
+// Serves `round` twice on one engine: first all requests at once, which
+// coalesce into a single flush and a single decode unit, then each request
+// alone. At fp32 a query's values depend only on its coordinates, its
+// latent and the weights, so both passes must agree bit for bit.
+void expect_coalescing_is_bitwise_invisible(
+    std::unique_ptr<core::MeshfreeFlowNet> model,
+    const std::vector<RoundRequest>& round) {
+  std::int64_t rows = 0;
+  for (const RoundRequest& r : round) rows += r.coords.dim(0);
+  // The round fills max_batch_rows exactly, so its window closes once the
+  // last request is queued; a lone request afterwards waits out the
+  // window instead.
+  serve::InferenceEngineConfig ecfg;
+  ecfg.batcher.max_batch_rows = rows;
+  ecfg.batcher.max_wait_us = 100000;
+  serve::InferenceEngine engine(std::move(model), ecfg);
+  std::vector<std::uint64_t> warmed;
+  for (const RoundRequest& r : round)
+    if (std::find(warmed.begin(), warmed.end(), r.patch_id) == warmed.end()) {
+      engine.prewarm(r.patch_id, r.patch);
+      warmed.push_back(r.patch_id);
+    }
+
+  std::vector<std::future<Tensor>> futs;
+  for (const RoundRequest& r : round)
+    futs.push_back(engine.query(r.patch_id, r.patch, r.coords));
+  std::vector<Tensor> coalesced;
+  for (auto& f : futs) coalesced.push_back(f.get());
+  const auto bs = engine.batcher_stats();
+  EXPECT_EQ(bs.requests, round.size());
+  EXPECT_EQ(bs.flushes, 1u);
+  EXPECT_EQ(bs.decode_calls, 1u);
+  EXPECT_EQ(bs.max_flush_rows, static_cast<std::uint64_t>(rows));
+
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    const Tensor alone =
+        engine.query_sync(round[i].patch_id, round[i].patch, round[i].coords);
+    ASSERT_EQ(alone.numel(), coalesced[i].numel());
+    EXPECT_EQ(0, std::memcmp(alone.data(), coalesced[i].data(),
+                             static_cast<std::size_t>(alone.numel()) *
+                                 sizeof(float)))
+        << "request " << i << " changed under coalescing";
+  }
+  const auto after = engine.batcher_stats();
+  EXPECT_EQ(after.decode_calls, 1u + round.size());
+  EXPECT_EQ(after.planned_decodes, 1u + round.size());
+  EXPECT_EQ(after.tape_decodes, 0u);
+  // Every query() looks its latent up once: the prewarm encodes missed.
+  const auto cs = engine.cache_stats();
+  EXPECT_EQ(cs.misses, warmed.size());
+  EXPECT_EQ(cs.hits, 2 * round.size());
+}
+
 TEST(QueryBatcher, CoalescedBatchMatchesIndividualDecodes) {
-  auto model = make_model(11);
-  core::MeshfreeFlowNet* raw = model.get();
   Rng rng(12);
   const Tensor patch = make_patch(rng);
+  std::vector<RoundRequest> round;
+  for (int i = 0; i < 6; ++i) round.push_back({7, patch, make_coords(rng, 48)});
+  expect_coalescing_is_bitwise_invisible(make_model(11), round);
+}
 
-  // A long max_wait plus a row target equal to the total guarantees the
-  // batcher actually coalesces all requests into one flush.
-  const int kReqs = 6;
-  const std::int64_t kQ = 48;
-  serve::InferenceEngineConfig ecfg;
-  ecfg.batcher.max_batch_rows = kReqs * kQ;
-  ecfg.batcher.max_wait_us = 200000;
-  serve::InferenceEngine engine(std::move(model), ecfg);
+// Ragged requests on one latent concatenate into one (B, 3) unit.
+TEST(QueryBatcher, CoalescedRaggedUnitMatchesIndividualDecodes) {
+  Rng rng(15);
+  const Tensor patch = make_patch(rng);
+  std::vector<RoundRequest> round;
+  for (std::int64_t q : {7, 100, 300})
+    round.push_back({7, patch, make_coords(rng, q)});
+  expect_coalescing_is_bitwise_invisible(make_model(16), round);
+}
 
-  std::vector<Tensor> coords;
-  std::vector<std::future<Tensor>> futs;
-  for (int i = 0; i < kReqs; ++i) coords.push_back(make_coords(rng, kQ));
-  for (int i = 0; i < kReqs; ++i)
-    futs.push_back(engine.query(7, patch, coords[static_cast<size_t>(i)]));
-  for (int i = 0; i < kReqs; ++i) {
-    Tensor got = futs[static_cast<size_t>(i)].get();
-    Tensor want = direct_predict(*raw, patch, coords[static_cast<size_t>(i)]);
-    EXPECT_LT(max_abs_diff(got, want), 2e-5)
-        << "request " << i << " diverged under coalescing";
-  }
-  const auto bs = engine.batcher_stats();
-  EXPECT_EQ(bs.requests, static_cast<std::uint64_t>(kReqs));
-  // All six requests hit one latent: a single coalesced decode call.
-  EXPECT_EQ(bs.decode_calls, 1u);
-  EXPECT_EQ(bs.max_flush_rows, static_cast<std::uint64_t>(kReqs * kQ));
-  // query() looks the latent up once per request: 1 miss, kReqs-1 hits.
-  const auto cs = engine.cache_stats();
-  EXPECT_EQ(cs.misses, 1u);
-  EXPECT_EQ(cs.hits, static_cast<std::uint64_t>(kReqs - 1));
+// Equal-sized requests on distinct latents stack into one (N, Q, 3) unit.
+TEST(QueryBatcher, StackedMultiLatentUnitMatchesIndividualDecodes) {
+  Rng rng(17);
+  std::vector<RoundRequest> round;
+  for (std::uint64_t p = 1; p <= 4; ++p)
+    round.push_back({p, make_patch(rng), make_coords(rng, 64)});
+  expect_coalescing_is_bitwise_invisible(make_model(18), round);
 }
 
 TEST(QueryBatcher, NonFiniteCoordinatesFailOnlyTheirRequest) {
