@@ -741,7 +741,10 @@ void emit_perf_json() {
     // per-step counters once shapes have warmed — tensor_allocs_per_step
     // is what the step *would* malloc without the cache,
     // heap_allocs_per_step is what it actually mallocs, and
-    // alloc_reduction is their ratio (the >= 10x acceptance metric).
+    // alloc_reduction is their ratio (the >= 10x acceptance metric). The
+    // gamma = 0.0125 step decodes the derivative bundle; a second line,
+    // tagged "gamma":0, times the same model and batch without the
+    // equation loss, whose step decodes through the value node.
     Rng rng(41);
     core::MFNConfig cfg = core::MFNConfig::small_default();
     core::MeshfreeFlowNet model(cfg, rng);
@@ -765,33 +768,35 @@ void emit_perf_json() {
     eq.constants = core::RBConstants::from_ra_pr(1e5, 1.0);
     eq.cell_size = {0.1, 0.125, 0.25};
     optim::Adam opt(model.parameters(), optim::AdamConfig{});
-    auto step = [&] {
-      opt.zero_grad();
-      core::StepLoss s =
-          core::batched_step_loss(model, batch, eq, /*gamma=*/0.0125);
-      ad::backward(s.loss);
-      opt.step();
-      backend::CachingAllocator::instance().next_step();
-    };
-    for (int r = 0; r < 3; ++r) step();  // warm the bucket cache
-    const backend::CachingAllocator::Stats s0 =
-        backend::CachingAllocator::instance().stats();
-    const double sec = time_best_of(5, step);
-    const backend::CachingAllocator::Stats s1 =
-        backend::CachingAllocator::instance().stats();
-    const double steps_run = static_cast<double>(s1.steps - s0.steps);
-    const double allocs_per_step =
-        static_cast<double>(s1.allocs - s0.allocs) / steps_run;
-    const double heap_per_step =
-        static_cast<double>(s1.heap_allocs - s0.heap_allocs) / steps_run;
-    std::printf(
-        "{\"mfn_perf\":\"train_step\",\"batch\":%lld,\"queries\":%lld,"
-        "\"threads\":%d,\"patches_per_sec\":%.1f,"
-        "\"tensor_allocs_per_step\":%.0f,\"heap_allocs_per_step\":%.0f,"
-        "\"alloc_reduction\":%.1f}\n",
-        static_cast<long long>(NB), static_cast<long long>(Q), threads,
-        static_cast<double>(NB) / sec, allocs_per_step, heap_per_step,
-        allocs_per_step / std::max(heap_per_step, 1.0));
+    for (const double gamma : {0.0125, 0.0}) {
+      auto step = [&] {
+        opt.zero_grad();
+        core::StepLoss s = core::batched_step_loss(model, batch, eq, gamma);
+        ad::backward(s.loss);
+        opt.step();
+        backend::CachingAllocator::instance().next_step();
+      };
+      for (int r = 0; r < 3; ++r) step();  // warm the bucket cache
+      const backend::CachingAllocator::Stats s0 =
+          backend::CachingAllocator::instance().stats();
+      const double sec = time_best_of(5, step);
+      const backend::CachingAllocator::Stats s1 =
+          backend::CachingAllocator::instance().stats();
+      const double steps_run = static_cast<double>(s1.steps - s0.steps);
+      const double allocs_per_step =
+          static_cast<double>(s1.allocs - s0.allocs) / steps_run;
+      const double heap_per_step =
+          static_cast<double>(s1.heap_allocs - s0.heap_allocs) / steps_run;
+      std::printf(
+          "{\"mfn_perf\":\"train_step\",%s\"batch\":%lld,\"queries\":%lld,"
+          "\"threads\":%d,\"patches_per_sec\":%.1f,"
+          "\"tensor_allocs_per_step\":%.0f,\"heap_allocs_per_step\":%.0f,"
+          "\"alloc_reduction\":%.1f}\n",
+          gamma == 0.0 ? "\"gamma\":0," : "", static_cast<long long>(NB),
+          static_cast<long long>(Q), threads,
+          static_cast<double>(NB) / sec, allocs_per_step, heap_per_step,
+          allocs_per_step / std::max(heap_per_step, 1.0));
+    }
   }
   {
     // Concurrent serving pipeline (src/serve/): closed-loop clients

@@ -1,12 +1,10 @@
 #include "autodiff/ops.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "backend/sgemm.h"
 #include "common/error.h"
 #include "tensor/tensor_ops.h"
-#include "threading/thread_pool.h"
 
 namespace mfn::ad {
 namespace {
@@ -231,49 +229,6 @@ Var slice_rows(const Var& a, std::int64_t begin, std::int64_t end) {
   });
 }
 
-Var mul_colvec(const Var& a, const Var& v) {
-  MFN_CHECK(a.value().ndim() == 2, "mul_colvec expects 2-D a");
-  const std::int64_t m = a.dim(0), cols = a.dim(1);
-  MFN_CHECK(v.numel() == m, "mul_colvec v numel " << v.numel() << " vs rows "
-                                                  << m);
-  // Every (i, j) is written by the scaling loop — no zero-fill needed.
-  Tensor out = Tensor::uninitialized(a.shape());
-  {
-    const float* pa = a.value().data();
-    const float* pv = v.value().data();
-    float* po = out.data();
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < cols; ++j)
-        po[i * cols + j] = pa[i * cols + j] * pv[i];
-  }
-  return make_op(std::move(out), {a, v}, [m, cols](Node& n) {
-    const float* pg = n.grad.data();
-    if (n.parents[0]->requires_grad) {
-      // Fully written below before accumulate — no zero-fill needed.
-      Tensor ga = Tensor::uninitialized(n.parents[0]->value.shape());
-      const float* pv = n.parents[1]->value.data();
-      float* pga = ga.data();
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < cols; ++j)
-          pga[i * cols + j] = pg[i * cols + j] * pv[i];
-      n.parents[0]->accumulate(ga);
-    }
-    if (n.parents[1]->requires_grad) {
-      // Every row's dot product is written — no zero-fill needed.
-      Tensor gv = Tensor::uninitialized(n.parents[1]->value.shape());
-      const float* pa = n.parents[0]->value.data();
-      float* pgv = gv.data();
-      for (std::int64_t i = 0; i < m; ++i) {
-        double acc = 0.0;
-        for (std::int64_t j = 0; j < cols; ++j)
-          acc += static_cast<double>(pg[i * cols + j]) * pa[i * cols + j];
-        pgv[i] = static_cast<float>(acc);
-      }
-      n.parents[1]->accumulate(gv);
-    }
-  });
-}
-
 Var reshape(const Var& a, Shape new_shape) {
   Shape old_shape = a.shape();
   // clone so the node owns distinct storage; grads reshape back.
@@ -354,167 +309,6 @@ Var batchnorm3d(const Var& x, const Var& gamma, const Var& beta, float eps,
     if (n.parents[0]->requires_grad) n.parents[0]->accumulate(g.gx);
     if (n.parents[1]->requires_grad) n.parents[1]->accumulate(g.ggamma);
     if (n.parents[2]->requires_grad) n.parents[2]->accumulate(g.gbeta);
-  });
-}
-
-Var gather_voxels(const Var& grid, const std::vector<VoxelIndex>& idx) {
-  MFN_CHECK(grid.value().ndim() == 5, "gather_voxels expects (N,C,D,H,W)");
-  const std::int64_t N = grid.dim(0), C = grid.dim(1), D = grid.dim(2),
-                     H = grid.dim(3), W = grid.dim(4);
-  const auto B = static_cast<std::int64_t>(idx.size());
-  // Every (b, c) is written by the gather loop — no zero-fill needed.
-  Tensor out = Tensor::uninitialized(Shape{B, C});
-  const float* pg = grid.value().data();
-  float* po = out.data();
-  const std::int64_t slab = D * H * W;
-  for (std::int64_t b = 0; b < B; ++b) {
-    const auto [n, d, h, w] = idx[static_cast<std::size_t>(b)];
-    MFN_CHECK(n >= 0 && n < N && d >= 0 && d < D && h >= 0 && h < H &&
-                  w >= 0 && w < W,
-              "gather_voxels index out of range at row " << b);
-    const std::int64_t base = n * C * slab + (d * H + h) * W + w;
-    for (std::int64_t c = 0; c < C; ++c) po[b * C + c] = pg[base + c * slab];
-  }
-  auto indices = std::make_shared<std::vector<VoxelIndex>>(idx);
-  return make_op(std::move(out), {grid}, [indices, C, D, H, W](Node& n) {
-    Tensor& g = n.parents[0]->ensure_grad();
-    float* pg = g.data();
-    const float* po = n.grad.data();
-    const std::int64_t slab = D * H * W;
-    const auto B = static_cast<std::int64_t>(indices->size());
-    for (std::int64_t b = 0; b < B; ++b) {
-      const auto [nn, d, h, w] = (*indices)[static_cast<std::size_t>(b)];
-      const std::int64_t base = nn * C * slab + (d * H + h) * W + w;
-      for (std::int64_t c = 0; c < C; ++c)
-        pg[base + c * slab] += po[b * C + c];
-    }
-  });
-}
-
-Var gather_voxels_concat(const Tensor& coords, const Var& grid,
-                         const std::vector<VoxelIndex>& idx) {
-  MFN_CHECK(grid.value().ndim() == 5,
-            "gather_voxels_concat expects (N,C,D,H,W)");
-  MFN_CHECK(coords.ndim() == 2 &&
-                coords.dim(0) == static_cast<std::int64_t>(idx.size()),
-            "gather_voxels_concat coords must be (B, K) with one row per "
-            "index, got "
-                << coords.shape().str() << " for " << idx.size()
-                << " indices");
-  const std::int64_t N = grid.dim(0), C = grid.dim(1), D = grid.dim(2),
-                     H = grid.dim(3), W = grid.dim(4);
-  const std::int64_t K = coords.dim(1);
-  const auto B = static_cast<std::int64_t>(idx.size());
-  const std::int64_t width = K + C;
-  Tensor out = Tensor::uninitialized(Shape{B, width});
-  {
-    const float* pc = coords.data();
-    const float* pg = grid.value().data();
-    float* po = out.data();
-    const std::int64_t slab = D * H * W;
-    // validate serially (MFN_CHECK throws; keep that out of the pool)
-    for (std::int64_t b = 0; b < B; ++b) {
-      const auto [n, d, h, w] = idx[static_cast<std::size_t>(b)];
-      MFN_CHECK(n >= 0 && n < N && d >= 0 && d < D && h >= 0 && h < H &&
-                    w >= 0 && w < W,
-                "gather_voxels_concat index out of range at row " << b);
-    }
-    parallel_for(
-        B,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t b = begin; b < end; ++b) {
-            const auto [n, d, h, w] = idx[static_cast<std::size_t>(b)];
-            const std::int64_t base = n * C * slab + (d * H + h) * W + w;
-            float* row = po + b * width;
-            for (std::int64_t k = 0; k < K; ++k) row[k] = pc[b * K + k];
-            for (std::int64_t c = 0; c < C; ++c)
-              row[K + c] = pg[base + c * slab];
-          }
-        },
-        /*grain=*/256);
-  }
-  auto indices = std::make_shared<std::vector<VoxelIndex>>(idx);
-  return make_op(std::move(out), {grid}, [indices, K, C, D, H, W](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
-    Tensor& g = n.parents[0]->ensure_grad();
-    float* pg = g.data();
-    const float* po = n.grad.data();
-    const std::int64_t slab = D * H * W;
-    const std::int64_t width = K + C;
-    const auto B = static_cast<std::int64_t>(indices->size());
-    for (std::int64_t b = 0; b < B; ++b) {
-      const auto [nn, d, h, w] = (*indices)[static_cast<std::size_t>(b)];
-      const std::int64_t base = nn * C * slab + (d * H + h) * W + w;
-      for (std::int64_t c = 0; c < C; ++c)
-        pg[base + c * slab] += po[b * width + K + c];
-    }
-  });
-}
-
-Var blend_corners(const Var& mat, const Var& w, int corners) {
-  MFN_CHECK(corners >= 1, "blend_corners needs corners >= 1");
-  MFN_CHECK(mat.value().ndim() == 2 && w.value().ndim() == 2 &&
-                w.dim(1) == 1 && w.dim(0) == mat.dim(0) &&
-                mat.dim(0) % corners == 0,
-            "blend_corners expects mat (J*B, C) and w (J*B, 1), got "
-                << mat.shape().str() << " and " << w.shape().str());
-  const std::int64_t JB = mat.dim(0), C = mat.dim(1);
-  const std::int64_t J = corners;
-  const std::int64_t B = JB / J;
-  Tensor out = Tensor::uninitialized(Shape{B, C});
-  {
-    const float* pm = mat.value().data();
-    const float* pw = w.value().data();
-    float* po = out.data();
-    parallel_for(
-        B,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t b = begin; b < end; ++b) {
-            float* row = po + b * C;
-            const float* m0 = pm + b * C;
-            for (std::int64_t c = 0; c < C; ++c)
-              row[c] = pw[b] * m0[c];
-            for (std::int64_t j = 1; j < J; ++j) {
-              const float wj = pw[j * B + b];
-              const float* mj = pm + (j * B + b) * C;
-              for (std::int64_t c = 0; c < C; ++c) row[c] += wj * mj[c];
-            }
-          }
-        },
-        /*grain=*/256);
-  }
-  return make_op(std::move(out), {mat, w}, [J, B, C](Node& n) {
-    const float* pg = n.grad.data();
-    if (n.parents[0]->requires_grad) {
-      Tensor& gm = n.parents[0]->ensure_grad();
-      float* p = gm.data();
-      const float* pw = n.parents[1]->value.data();
-      parallel_for(
-          B,
-          [&](std::int64_t begin, std::int64_t end) {
-            for (std::int64_t b = begin; b < end; ++b)
-              for (std::int64_t j = 0; j < J; ++j) {
-                const float wj = pw[j * B + b];
-                float* row = p + (j * B + b) * C;
-                const float* g = pg + b * C;
-                for (std::int64_t c = 0; c < C; ++c) row[c] += wj * g[c];
-              }
-          },
-          /*grain=*/256);
-    }
-    if (n.parents[1]->requires_grad) {
-      Tensor& gw = n.parents[1]->ensure_grad();
-      float* p = gw.data();
-      const float* pm = n.parents[0]->value.data();
-      for (std::int64_t j = 0; j < J; ++j)
-        for (std::int64_t b = 0; b < B; ++b) {
-          const float* mj = pm + (j * B + b) * C;
-          const float* g = pg + b * C;
-          float acc = 0.0f;
-          for (std::int64_t c = 0; c < C; ++c) acc += mj[c] * g[c];
-          p[j * B + b] += acc;
-        }
-    }
   });
 }
 

@@ -5,7 +5,6 @@
 // this layer only adds the chain rule.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -48,8 +47,6 @@ Var linear(const Var& x, const Var& weight, const Var& bias);
 Var slice_cols(const Var& a, std::int64_t begin, std::int64_t end);
 /// Rows [begin,end) of a 2-D matrix (contiguous copy; backward scatters).
 Var slice_rows(const Var& a, std::int64_t begin, std::int64_t end);
-/// Multiply each row of a:(B,n) by the per-row scalar v:(B,1).
-Var mul_colvec(const Var& a, const Var& v);
 
 // ----- shape surgery -----
 Var reshape(const Var& a, Shape new_shape);
@@ -65,25 +62,5 @@ Var upsample_nearest3d(const Var& x, Dims3 factor);
 Var batchnorm3d(const Var& x, const Var& gamma, const Var& beta, float eps,
                 Tensor* out_batch_mean = nullptr,
                 Tensor* out_batch_var = nullptr);
-
-/// Voxel gather: for each query b, read the latent vector at integer
-/// location (n, d, h, w) of grid:(N,C,D,H,W); result (B, C).
-/// Backward scatter-adds into the grid gradient.
-using VoxelIndex = std::array<std::int64_t, 4>;  // (n, d, h, w)
-Var gather_voxels(const Var& grid, const std::vector<VoxelIndex>& idx);
-
-/// Fused decoder-input assembly: result row b is [coords[b] | grid[idx[b]]]
-/// of width coords.dim(1) + C — the gather and the concat of the
-/// continuous-decoder hot path in one parallel pass and one allocation.
-/// `coords` is constant geometry; backward scatter-adds only the latent
-/// columns into the grid gradient.
-Var gather_voxels_concat(const Tensor& coords, const Var& grid,
-                         const std::vector<VoxelIndex>& idx);
-
-/// Fused trilinear corner blend: `mat` is (J*B, C) of per-corner rows
-/// (corner-major blocks, J = `corners`), `w` is (J*B, 1); returns (B, C)
-/// with out(b, c) = sum_j w[j*B + b] * mat[j*B + b][c]. Replaces the
-/// slice_rows/mul_colvec/add chain per corner with one parallel kernel.
-Var blend_corners(const Var& mat, const Var& w, int corners = 8);
 
 }  // namespace mfn::ad

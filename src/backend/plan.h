@@ -20,7 +20,8 @@
 namespace mfn::backend {
 
 /// Decode precision tier. fp32 runs the fused decoder kernel's value pass,
-/// within 1e-5 of the tape decode relative to its largest entry; bf16/int8
+/// within 1e-5 of the tape reference decoder (tests/tape_decoder.h)
+/// relative to its largest entry; bf16/int8
 /// execute the reduced-precision prepacked kernels (sgemm.h) within their
 /// documented error bounds.
 enum class Precision : std::uint8_t { kFp32, kBf16, kInt8 };

@@ -16,6 +16,11 @@ using nn::Activation;
 constexpr int kStreams = 6;  // value, t/z/x tangents, z/x curvatures
 constexpr int kRows = 8;     // rows per tile: one query's 8 corners
 
+// Activation derivatives the backward keeps per row of an S-stream pass:
+// f' for the value pass, f', f'', f''' for the jet.
+template <int S>
+constexpr int kDerivs = S == 1 ? 1 : 3;
+
 // ------------------------------------------------------------ lane types --
 // Every kernel below is written once over a lane type: simd::VF on the
 // vector tiers, or single floats on the scalar reference path, whose
@@ -361,6 +366,20 @@ void row_sums(const float* src, int S, std::int64_t ld, int rows,
   }
 }
 
+// The value activation h = f(z). With Save, also stores f' at d for the
+// backward.
+template <class P, Activation A, bool Save>
+inline void act_value(typename P::V z, float* h, float* d) {
+  if constexpr (Save) {
+    typename P::V f{}, d1{}, d2{}, d3{};
+    P::template derivs<A>(z, f, d1, d2, d3);
+    P::store(h, f);
+    P::store(d, d1);
+  } else {
+    P::store(h, P::template act<A>(z));
+  }
+}
+
 // The jet activation of pre-activation jet z into h (stream m at m * ss):
 // h = f(z), t = f' tau, c = f'' tau^2 + f' kappa. With d, also stores
 // f', f'', f''' there (derivative e at e * ss) for the backward.
@@ -424,20 +443,24 @@ void blend(const float* h, std::int64_t ld, const float* geo, float* m) {
 }
 
 // Blend adjoint at corner j (weights geo): the adjoint hb of the corner's
-// jet from the members' adjoint mb.
-template <class P>
-inline void blend_adjoint(const typename P::V (&mb)[kMembers],
-                          const float* geo, typename P::V (&hb)[kStreams]) {
+// S streams from the S members' adjoint mb.
+template <class P, int S>
+inline void blend_adjoint(const typename P::V (&mb)[S], const float* geo,
+                          typename P::V (&hb)[S]) {
   using V = typename P::V;
-  const V two = P::set1(2.0f);
-  const V w = P::set1(geo[0]), dt = P::set1(geo[1]), dz = P::set1(geo[2]),
-          dx = P::set1(geo[3]);
-  hb[0] = w * mb[kValue] + dt * mb[kDt] + dz * mb[kDz] + dx * mb[kDx];
-  hb[1] = w * mb[kDt];
-  hb[2] = w * mb[kDz] + two * dz * mb[kDzz];
-  hb[3] = w * mb[kDx] + two * dx * mb[kDxx];
-  hb[4] = w * mb[kDzz];
-  hb[5] = w * mb[kDxx];
+  const V w = P::set1(geo[0]);
+  if constexpr (S == 1) {
+    hb[0] = w * mb[kValue];
+  } else {
+    const V two = P::set1(2.0f);
+    const V dt = P::set1(geo[1]), dz = P::set1(geo[2]), dx = P::set1(geo[3]);
+    hb[0] = w * mb[kValue] + dt * mb[kDt] + dz * mb[kDz] + dx * mb[kDx];
+    hb[1] = w * mb[kDt];
+    hb[2] = w * mb[kDz] + two * dz * mb[kDzz];
+    hb[3] = w * mb[kDx] + two * dx * mb[kDxx];
+    hb[4] = w * mb[kDzz];
+    hb[5] = w * mb[kDxx];
+  }
 }
 
 // A single-layer decoder's output layer reads layer 0's input as a jet:
@@ -536,15 +559,17 @@ void gather(const Grid& g, const float* lc, const float* coords,
 // In the jet, layer 0 computes the value product only: its tangents are
 // W0's coordinate columns and its curvatures zero, so the seeds fold into
 // its write-back, and every later layer applies the jet activation. Hidden
-// layer l's streams go to hs[l] (row r, stream m at (r * S + m) * ld_l);
-// with ds (jet only), f', f'', f''' go to ds[l] (row r, derivative e at
-// (r * 3 + e) * ld_l) and the pre-activation jets of layers l > 0 to
-// zs[l] (laid out like hs[l]), for the backward.
-template <class P, Activation A, int S>
+// layer l's streams go to hs[l] (row r, stream m at (r * S + m) * ld_l).
+// With Save (the backward's rerun; the forward passes null ds and zs), the
+// activation derivatives go to ds[l] (row r, derivative e at
+// (r * D + e) * ld_l for the kDerivs<S> = D kept), and in the jet the
+// pre-activation jets of layers l > 0 go to zs[l] (laid out like hs[l]).
+template <class P, Activation A, int S, bool Save>
 void hidden_layers(const Net& net, const float* x, float* const* hs,
                    float* const* ds, float* const* zs) {
   using V = typename P::V;
   constexpr std::int64_t W = P::kWidth;
+  constexpr int D = kDerivs<S>;
   const std::vector<Layer>& layers = net.layers;
   const Layer& l0 = layers.front();
   const Cols c0 = cols<P>(l0.out);
@@ -558,15 +583,14 @@ void hidden_layers(const Net& net, const float* x, float* const* hs,
               const std::int64_t col = c + v * W;
               const V z = acc[r][0][v] + P::load(net.bias[0] + col);
               float* h = hs[0] + (r0 + r) * S * c0.ld + col;
+              float* d =
+                  Save ? ds[0] + (r0 + r) * D * c0.ld + col : nullptr;
               if constexpr (S == 1) {
-                P::store(h, P::template act<A>(z));
+                act_value<P, A, Save>(z, h, d);
               } else {
                 V zj[kStreams];
                 layer0_jet<P>(z, net.wc + col, c0.ld, zj);
-                act_jet<P, A>(zj, h, c0.ld,
-                              ds == nullptr
-                                  ? nullptr
-                                  : ds[0] + (r0 + r) * 3 * c0.ld + col);
+                act_jet<P, A>(zj, h, c0.ld, d);
               }
             }
         });
@@ -586,16 +610,15 @@ void hidden_layers(const Net& net, const float* x, float* const* hs,
                 V z[S];
                 for (int m = 0; m < S; ++m) z[m] = acc[r][m][v];
                 z[0] = z[0] + P::load(net.bias[l] + col);
+                float* d =
+                    Save ? ds[l] + (r0 + r) * D * cl.ld + col : nullptr;
                 if constexpr (S == 1) {
-                  P::store(hs[l] + at, P::template act<A>(z[0]));
+                  act_value<P, A, Save>(z[0], hs[l] + at, d);
                 } else {
-                  if (zs != nullptr)
+                  if constexpr (Save)
                     for (int m = 0; m < S; ++m)
                       P::store(zs[l] + at + m * cl.ld, z[m]);
-                  act_jet<P, A>(z, hs[l] + at, cl.ld,
-                                ds == nullptr
-                                    ? nullptr
-                                    : ds[l] + (r0 + r) * 3 * cl.ld + col);
+                  act_jet<P, A>(z, hs[l] + at, cl.ld, d);
                 }
               }
           });
@@ -622,7 +645,7 @@ void forward_tile(const Grid& g, const float* lc, const float* coords,
   gather(g, lc, coords, b, ldx, x, geo);
   const float* last = hs[L == 1 ? 0 : L - 2];
   if (L > 1)
-    hidden_layers<P, A, S>(net, x, hs, nullptr, nullptr);
+    hidden_layers<P, A, S, false>(net, x, hs, nullptr, nullptr);
   else if constexpr (S == 1)
     last = x;
   else
@@ -711,8 +734,8 @@ GradLayout grad_layout(const std::vector<Layer>& layers) {
 }
 
 // Per-worker scratch of the backward: the tile's regathered input, blend
-// weights and member gradients, its recomputed hidden jets h[l],
-// activation derivatives d[l] (f', f'', f''') and pre-activation jets z[l]
+// weights and member gradients, its recomputed hidden streams h[l],
+// activation derivatives d[l] and, in the jet, pre-activation jets z[l]
 // (l > 0), the blended members and their adjoint, two adjoint buffers,
 // and the block's weight, bias and coordinate-column gradient
 // accumulators (rows padded like the layer's input).
@@ -723,12 +746,14 @@ struct BwdScratch {
   float* csum = nullptr;
 };
 
-// Query b's tile backward. The forward saves nothing: the tile is
-// regathered and run through the hidden layers again, keeping every jet,
-// activation derivative and pre-activation jet. Then the output layer's
-// weight gradient from the blended members and its input adjoint, the
-// blend adjoint to every corner, then per hidden layer from the top: the
-// activation adjoint
+// Query b's tile backward with S streams: the value pass (S = 1) or the
+// jet (S = 6), whose output holds S members of `total` rows each. The
+// forward saves nothing: the tile is regathered and run through the hidden
+// layers again, keeping every stream set, activation derivative and (jet)
+// pre-activation jet. Then the output layer's weight gradient from the
+// blended members and its input adjoint, the blend adjoint to every
+// corner, then per hidden layer from the top: the activation adjoint,
+// zbar = f' hbar in the value pass and in the jet
 //
 //   zbar       = f' hbar + f'' (sum_k tau_k tbar_k + sum_m kappa_m cbar_m)
 //                + f''' sum_m tau_m^2 cbar_m
@@ -736,17 +761,17 @@ struct BwdScratch {
 //   kappabar_m = f' cbar_m
 //
 // (fused into the write-back of the product that produced hbar), the
-// weight-gradient partial and the input-gradient product. Layer 0's folded
-// tangent seeds turn its tangent and curvature adjoints into gradients of
-// W0's coordinate columns (s.csum). With xbar, the adjoint of the tile's
-// latent inputs goes there (row j at j * ldc).
-template <class P, Activation A>
+// weight-gradient partial and the input-gradient product. In the jet,
+// layer 0's folded tangent seeds turn its tangent and curvature adjoints
+// into gradients of W0's coordinate columns (s.csum). With xbar, the
+// adjoint of the tile's latent inputs goes there (row j at j * ldc).
+template <class P, Activation A, int S>
 void backward_tile(const Grid& g, const float* lc, const float* coords,
                    std::int64_t b, std::int64_t total, const Net& net,
                    const float* grad, BwdScratch& s, float* xbar) {
   using V = typename P::V;
   constexpr std::int64_t W = P::kWidth;
-  constexpr int S = kStreams;
+  constexpr int D = kDerivs<S>;
   const std::vector<Layer>& layers = net.layers;
   const std::size_t L = layers.size();
   const Layer& l0 = layers.front();
@@ -754,64 +779,72 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
   const std::int64_t ldx = cols<P>(l0.in).ld, ld0 = cols<P>(l0.out).ld;
   const std::int64_t ldo = cols<P>(lo.out).ld, ldi = cols<P>(lo.in).ld;
   const std::int64_t ldc = cols<P>(g.c).ld;
-  const V two = P::set1(2.0f);
   gather(g, lc, coords, b, ldx, s.x, s.geo);
 
-  if (L == 1)
-    seed_jet(s.x, ldx, s.h[0]);
+  const float* last = s.h[L == 1 ? 0 : L - 2];
+  if (L > 1)
+    hidden_layers<P, A, S, true>(net, s.x, s.h.data(), s.d.data(),
+                                 s.z.data());
+  else if constexpr (S == 1)
+    last = s.x;
   else
-    hidden_layers<P, A, kStreams>(net, s.x, s.h.data(), s.d.data(),
-                                  s.z.data());
+    seed_jet(s.x, ldx, s.h[0]);
 
-  // Adjoint hb of hidden layer l's output jet at row r, columns c.. into
-  // that of its pre-activation: the six-stream zbar into dst for l > 0;
-  // for layer 0 the value adjoint into dst and the coordinate-column
-  // gradients into s.csum.
+  // Adjoint hb of hidden layer l's output streams at row r, columns c..
+  // into that of its pre-activation, zbar, into dst. In the jet, layer 0
+  // keeps the value adjoint only and adds the coordinate-column gradients
+  // into s.csum.
   auto act_adjoint = [&](std::size_t l, int r, std::int64_t c,
                          const V (&hb)[S], float* dst) {
     const std::int64_t ld = cols<P>(layers[l].out).ld;
-    const float* d = s.d[l] + r * 3 * ld + c;
-    const V d1 = P::load(d), d2 = P::load(d + ld), d3 = P::load(d + 2 * ld);
-    if (l == 0) {
-      const V wt = P::load(net.wc + c), wz = P::load(net.wc + ld0 + c),
-              wx = P::load(net.wc + 2 * ld0 + c);
-      P::store(dst + r * ld0 + c,
-               d1 * hb[0] + d2 * (wt * hb[1] + wz * hb[2] + wx * hb[3]) +
-                   d3 * (wz * wz * hb[4] + wx * wx * hb[5]));
-      float* cs = s.csum + c;
-      P::store(cs, P::load(cs) + d1 * hb[1]);
-      P::store(cs + ld0,
-               P::load(cs + ld0) + (d1 * hb[2] + two * d2 * wz * hb[4]));
-      P::store(cs + 2 * ld0,
-               P::load(cs + 2 * ld0) + (d1 * hb[3] + two * d2 * wx * hb[5]));
-      return;
+    const float* d = s.d[l] + r * D * ld + c;
+    const V d1 = P::load(d);
+    if constexpr (S == 1) {
+      P::store(dst + r * ld + c, d1 * hb[0]);
+    } else {
+      const V two = P::set1(2.0f);
+      const V d2 = P::load(d + ld), d3 = P::load(d + 2 * ld);
+      if (l == 0) {
+        const V wt = P::load(net.wc + c), wz = P::load(net.wc + ld0 + c),
+                wx = P::load(net.wc + 2 * ld0 + c);
+        P::store(dst + r * ld0 + c,
+                 d1 * hb[0] + d2 * (wt * hb[1] + wz * hb[2] + wx * hb[3]) +
+                     d3 * (wz * wz * hb[4] + wx * wx * hb[5]));
+        float* cs = s.csum + c;
+        P::store(cs, P::load(cs) + d1 * hb[1]);
+        P::store(cs + ld0,
+                 P::load(cs + ld0) + (d1 * hb[2] + two * d2 * wz * hb[4]));
+        P::store(cs + 2 * ld0, P::load(cs + 2 * ld0) +
+                                   (d1 * hb[3] + two * d2 * wx * hb[5]));
+        return;
+      }
+      const std::int64_t at = r * S * ld + c;
+      const float* zk = s.z[l] + at;
+      const V tt = P::load(zk + ld), tz = P::load(zk + 2 * ld),
+              tx = P::load(zk + 3 * ld), kz = P::load(zk + 4 * ld),
+              kx = P::load(zk + 5 * ld);
+      const V mixed =
+          tt * hb[1] + tz * hb[2] + tx * hb[3] + kz * hb[4] + kx * hb[5];
+      float* zb = dst + at;
+      P::store(zb, d1 * hb[0] + d2 * mixed +
+                       d3 * (tz * tz * hb[4] + tx * tx * hb[5]));
+      P::store(zb + ld, d1 * hb[1]);
+      P::store(zb + 2 * ld, d1 * hb[2] + two * d2 * tz * hb[4]);
+      P::store(zb + 3 * ld, d1 * hb[3] + two * d2 * tx * hb[5]);
+      P::store(zb + 4 * ld, d1 * hb[4]);
+      P::store(zb + 5 * ld, d1 * hb[5]);
     }
-    const std::int64_t at = r * S * ld + c;
-    const float* zk = s.z[l] + at;
-    const V tt = P::load(zk + ld), tz = P::load(zk + 2 * ld),
-            tx = P::load(zk + 3 * ld), kz = P::load(zk + 4 * ld),
-            kx = P::load(zk + 5 * ld);
-    const V mixed =
-        tt * hb[1] + tz * hb[2] + tx * hb[3] + kz * hb[4] + kx * hb[5];
-    float* zb = dst + at;
-    P::store(zb, d1 * hb[0] + d2 * mixed +
-                     d3 * (tz * tz * hb[4] + tx * tx * hb[5]));
-    P::store(zb + ld, d1 * hb[1]);
-    P::store(zb + 2 * ld, d1 * hb[2] + two * d2 * tz * hb[4]);
-    P::store(zb + 3 * ld, d1 * hb[3] + two * d2 * tx * hb[5]);
-    P::store(zb + 4 * ld, d1 * hb[4]);
-    P::store(zb + 5 * ld, d1 * hb[5]);
   };
 
   // Output layer: weight and bias gradients against the blended members,
   // then the members' adjoint (over the latent columns only when the
   // output layer is layer 0).
-  for (int m = 0; m < kMembers; ++m) {
+  for (int m = 0; m < S; ++m) {
     float* gm = s.gm + m * ldo;
     for (std::int64_t o = 0; o < ldo; ++o)
       gm[o] = o < lo.out ? grad[(m * total + b) * lo.out + o] : 0.0f;
   }
-  blend<P, kStreams>(L == 1 ? s.h[0] : s.h[L - 2], ldi, s.geo, s.m);
+  blend<P, S>(last, ldi, s.geo, s.m);
   wgrad<P, S>(s.gm, ldo, lo.out, s.m, lo.in, 1, s.accw[L - 1]);
   row_sums<P>(s.gm, S, ldo, 1, s.accb[L - 1]);
   const Cols cm = cols<P>(L == 1 ? g.c : lo.in);
@@ -820,7 +853,7 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
     layer_pass<P, S, NP, 1>(
         s.gm, ldo, 1, lo.out, net.bwd[L - 1], cm.panels,
         [&](int, std::int64_t c, auto& acc) {
-          for (int m = 0; m < kMembers; ++m)
+          for (int m = 0; m < S; ++m)
             for (int v = 0; v < NP; ++v)
               P::store(s.mbar + m * cm.ld + c + v * W, acc[0][m][v]);
         });
@@ -830,10 +863,9 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
   // activation adjoint; a single-layer decoder's latent adjoint directly.
   for (int r = 0; r < kRows; ++r)
     for (std::int64_t c = 0; c < cm.ld; c += W) {
-      V mb[kMembers], hb[S];
-      for (int m = 0; m < kMembers; ++m)
-        mb[m] = P::load(s.mbar + m * cm.ld + c);
-      blend_adjoint<P>(mb, s.geo + 4 * r, hb);
+      V mb[S], hb[S];
+      for (int m = 0; m < S; ++m) mb[m] = P::load(s.mbar + m * cm.ld + c);
+      blend_adjoint<P, S>(mb, s.geo + 4 * r, hb);
       if (L == 1) {
         if (xbar != nullptr) P::store(xbar + r * ldc + c, hb[0]);
       } else {
@@ -844,7 +876,7 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
 
   float* cur = s.a;
   float* nxt = s.b;
-  // cur holds the adjoint of layer l's pre-activation jet.
+  // cur holds the adjoint of layer l's pre-activation streams.
   for (std::size_t l = L - 2; l >= 1; --l) {
     const Layer& ly = layers[l];
     const std::int64_t ldl = cols<P>(ly.out).ld;
@@ -883,10 +915,11 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
   });
 }
 
-// Backward over every block: block blk's weight and bias gradients go to
-// partials + blk * gl.total and, when xbar is not null, query b's
-// latent-input adjoint to xbar + b * 8 * ldc (corner j at j * ldc).
-template <class P, Activation A>
+// Backward of the S-stream pass over every block: block blk's weight and
+// bias gradients go to partials + blk * gl.total and, when xbar is not
+// null, query b's latent-input adjoint to xbar + b * 8 * ldc (corner j at
+// j * ldc).
+template <class P, Activation A, int S>
 void run_backward(const Grid& g, const float* coords,
                   const std::vector<Layer>& layers, const float* grad,
                   const GradLayout& gl, float* partials, float* xbar) {
@@ -911,16 +944,16 @@ void run_backward(const Grid& g, const float* coords,
         BwdScratch s;
         s.x = padded(nullptr, 0, kRows * ldx, ws);
         s.geo = take(4 * kRows);
-        s.gm = take(kMembers * ldmax);
+        s.gm = take(S * ldmax);
         for (std::size_t l = 0; l + 1 < std::max<std::size_t>(L, 2); ++l) {
-          s.h.push_back(take(kRows * kStreams * ldmax));
-          s.d.push_back(take(kRows * 3 * ldmax));
-          s.z.push_back(l == 0 ? nullptr : take(kRows * kStreams * ldmax));
+          s.h.push_back(take(kRows * S * ldmax));
+          s.d.push_back(take(kRows * kDerivs<S> * ldmax));
+          s.z.push_back(S == 1 || l == 0 ? nullptr : take(kRows * S * ldmax));
         }
-        s.m = take(kMembers * ldmax);
-        s.mbar = take(kMembers * ldmax);
-        s.a = take(kRows * kStreams * ldmax);
-        s.b = take(kRows * kStreams * ldmax);
+        s.m = take(S * ldmax);
+        s.mbar = take(S * ldmax);
+        s.a = take(kRows * S * ldmax);
+        s.b = take(kRows * S * ldmax);
         std::int64_t acc_floats = 3 * ld0;
         for (const Layer& l : layers)
           acc_floats += l.out * cols<P>(l.in).ld + cols<P>(l.out).ld;
@@ -938,8 +971,9 @@ void run_backward(const Grid& g, const float* coords,
           const std::int64_t b0 = blk * kBlockQueries;
           const std::int64_t b1 = std::min(b0 + kBlockQueries, total);
           for (std::int64_t b = b0; b < b1; ++b)
-            backward_tile<P, A>(
-                g, lc, coords, b, total, net, grad, s, xbar == nullptr ? nullptr : xbar + b * kRows * ldc);
+            backward_tile<P, A, S>(
+                g, lc, coords, b, total, net, grad, s,
+                xbar == nullptr ? nullptr : xbar + b * kRows * ldc);
           // The block's accumulators, unpadded, are its partials.
           float* part = partials + blk * gl.total;
           for (std::size_t l = 0; l < L; ++l) {
@@ -951,9 +985,11 @@ void run_backward(const Grid& g, const float* coords,
             if (ly.bias != nullptr)
               std::copy(s.accb[l], s.accb[l] + ly.out, part + gl.b[l]);
           }
-          for (std::int64_t o = 0; o < layers.front().out; ++o)
-            for (int k = 0; k < 3; ++k)
-              part[gl.w[0] + o * layers.front().in + k] += s.csum[k * ld0 + o];
+          if constexpr (S == kStreams)
+            for (std::int64_t o = 0; o < layers.front().out; ++o)
+              for (int k = 0; k < 3; ++k)
+                part[gl.w[0] + o * layers.front().in + k] +=
+                    s.csum[k * ld0 + o];
         }
         ws.release(mark);
       },
@@ -1035,8 +1071,14 @@ std::vector<Layer> layers_of(const nn::MLP& mlp) {
 
 }  // namespace jet
 
-ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
-                   std::int64_t q, const nn::MLP& mlp) {
+namespace {
+
+// The S-stream pass as one tape node: the value pass (S = 1) or the jet
+// (S = jet::kMembers), whose output stacks its S members of n*q rows.
+// Without a gradient to record it returns the forward's output alone.
+template <int S>
+ad::Var decode_node(const ad::Var& latent, const Tensor& coords,
+                    std::int64_t q, const nn::MLP& mlp) {
   const Tensor& lat = latent.value();
   const jet::Grid grid{lat.data(), lat.dim(0), q,         lat.dim(1),
                        lat.dim(2), lat.dim(3), lat.dim(4)};
@@ -1053,9 +1095,9 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
   }
   const std::vector<jet::Layer> layers = jet::layers_of(mlp);
   const std::int64_t total = grid.n * q, width = layers.back().out;
-  Tensor out = Tensor::uninitialized(Shape{jet::kMembers * total, width});
+  Tensor out = Tensor::uninitialized(Shape{S * total, width});
   std::array<float*, jet::kMembers> outs{};
-  for (int m = 0; m < jet::kMembers; ++m)
+  for (int m = 0; m < S; ++m)
     outs[m] = out.data() + m * total * width;
 
   bool needs_grad = false;
@@ -1066,7 +1108,7 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
   // forward's lane type even if simd::set_force_scalar flips in between.
   const bool vec = simd::enabled();
   jet::dispatch(vec, act, [&](auto lanes, auto tag) {
-    jet::run_forward<decltype(lanes), decltype(tag)::value, jet::kStreams>(
+    jet::run_forward<decltype(lanes), decltype(tag)::value, S>(
         grid, coords.data(), layers, outs);
   });
   if (!needs_grad) return ad::Var(std::move(out), /*requires_grad=*/false);
@@ -1094,7 +1136,7 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
           Tensor xbar;
           if (lat.requires_grad)
             xbar = Tensor::uninitialized(Shape{g.n * g.q * jet::kRows * ldc});
-          jet::run_backward<P, decltype(tag)::value>(
+          jet::run_backward<P, decltype(tag)::value, S>(
               g, geometry.data(), ls, n.grad.data(), gl,
               partials.data(), lat.requires_grad ? xbar.data() : nullptr);
           if (lat.requires_grad)
@@ -1115,6 +1157,18 @@ ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
                                     b.ensure_grad().data());
         }
       });
+}
+
+}  // namespace
+
+ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
+                   std::int64_t q, const nn::MLP& mlp) {
+  return decode_node<jet::kMembers>(latent, coords, q, mlp);
+}
+
+ad::Var decode_value(const ad::Var& latent, const Tensor& coords,
+                     std::int64_t q, const nn::MLP& mlp) {
+  return decode_node<1>(latent, coords, q, mlp);
 }
 
 }  // namespace mfn::core

@@ -1,5 +1,6 @@
-// The decoder's fused small-MLP kernel: the derivative bundle as one tape
-// node, and the value pass.
+// The decoder's fused small-MLP kernel: the derivative bundle and the value
+// pass, each as one tape node with a hand-written backward. It is the only
+// decoder implementation; training, evaluation and serving all run it.
 //
 // The PDE equation loss needs, at every query point, the decoded value and
 // its first (t, z, x) and second (zz, xx) coordinate derivatives. They are
@@ -52,16 +53,23 @@
 // bit-identical at every MFN_NUM_THREADS. The backward takes the
 // forward's lane type (vector or scalar).
 //
-// jet::forward also serves the value alone. When the caller asks for no
-// derivative, a tile carries one stream through the same tile kernels,
+// The value pass carries one stream through the same tile kernels,
 // register tiles and blocks: each layer's product with bias and f(z) in
 // the write-back, the blend of the last hidden layer's values, and one
 // output projection per query. Its value equals the bundle's value member
-// bit for bit on the vector lanes. The no-grad ContinuousDecoder::decode
-// and the fp32 DecodePlan::execute (serving replay) run that value pass;
-// DecodePlan::execute_derivatives runs the six-member forward. Every
-// query's result depends only on its coordinates, its latent sample and
-// the weights, so how queries are batched never changes a bit.
+// bit for bit on the vector lanes. decode_value() runs it as a tape node
+// whose backward is the bundle's with one stream: per tile it reruns the
+// hidden layers keeping f', takes the output layer's weight gradient
+// against the blended last hidden value, the blend adjoint, zbar = f' hbar
+// in the write-back, and each layer's weight-gradient partial and input
+// gradient, on the same blocks and reductions, so its gradients are
+// bit-identical at every MFN_NUM_THREADS too. ContinuousDecoder::decode
+// runs decode_value() with or without a tape (gamma = 0 training and
+// no-grad evaluation alike), the fp32 DecodePlan::execute (serving
+// replay) runs jet::forward's value pass, and
+// DecodePlan::execute_derivatives its six-member forward. Every query's
+// result depends only on its coordinates, its latent sample and the
+// weights, so how queries are batched never changes a bit.
 #pragma once
 
 #include <algorithm>
@@ -135,5 +143,12 @@ std::vector<Layer> layers_of(const nn::MLP& mlp);
 /// and bias. Coordinates must be finite (the caller validates them).
 ad::Var decode_jet(const ad::Var& latent, const Tensor& coords,
                    std::int64_t q, const nn::MLP& mlp);
+
+/// The value-pass tape node: decode_jet's value member alone, as an
+/// (n*q, out) Var, and its gradients. Under NoGradGuard, or when
+/// no input requires a gradient, it records nothing and allocates only
+/// the output tensor.
+ad::Var decode_value(const ad::Var& latent, const Tensor& coords,
+                     std::int64_t q, const nn::MLP& mlp);
 
 }  // namespace mfn::core

@@ -274,10 +274,10 @@ void DecodePlan::run_block(const float* latent, const float* coords,
   float* cur = arena + off_in_;
   float* wblk = arena + off_w_;
 
-  // Fused single-pass gather: geometry (double math identical to
-  // make_corners), [coords | latent] rows, and blend weights, with no
-  // intermediate tensors and no per-query index recomputation beyond the
-  // three cellof splits.
+  // Fused single-pass gather: geometry (the double math of core::cellof,
+  // as in the fused kernel), [coords | latent] rows, and blend weights,
+  // with no intermediate tensors and no per-query index recomputation
+  // beyond the three cellof splits.
   for (std::int64_t b = q0; b < q1; ++b) {
     const std::int64_t n = b / key_.q;
     const auto [t0, ft] = cellof(coords[b * 3 + 0], key_.lt);
@@ -303,7 +303,7 @@ void DecodePlan::run_block(const float* latent, const float* coords,
 
   backend::plan_run(prog_, rows, arena);
 
-  // Trilinear blend in corner order, as the tape's blend_corners sums.
+  // Trilinear blend in corner order, as the tape reference decoder sums.
   const float* y0 = arena + off_final_;
   for (std::int64_t b = q0; b < q1; ++b) {
     float* r = out + b * out_ch_;

@@ -14,8 +14,9 @@
 //  - DecodePlan: the decode for one concrete (snapshot version, N, Q,
 //    grid, precision) shape. An fp32 plan runs the fused decoder kernel's
 //    value pass (core/decode_jet.h) over the snapshot's weights: any
-//    width, within 1e-5 of the tape decode relative to its largest entry,
-//    and bitwise equal to the no-grad ContinuousDecoder::decode, which
+//    width, within 1e-5 of the tape reference decoder (the MLP's tape ops
+//    over gathered corner rows, tests/tape_decoder.h) relative to its
+//    largest entry, and bitwise equal to ContinuousDecoder::decode, which
 //    runs the same pass over the live MLP. A bf16 or int8 plan lowers the
 //    decode into a flat backend::PlanProgram — fused corner gather,
 //    reduced-precision prepacked GEMMs, activations, trilinear blend —
@@ -134,8 +135,9 @@ class DecodePlan {
   /// (N, Q, 3) with B == N*Q rows either way. Output bits do not depend
   /// on MFN_NUM_THREADS, and an fp32 query's bits depend only on its
   /// coordinates, its latent and the weights. fp32 plans run the value
-  /// pass, bitwise the no-grad decode() and within 1e-5 of the tape;
-  /// bf16/int8 plans match the tape only within their tier's error bound.
+  /// pass, bitwise the no-grad decode() and within 1e-5 of the tape
+  /// reference; bf16/int8 plans match it only within their tier's error
+  /// bound.
   Tensor execute(const Tensor& latent, const Tensor& query_coords) const;
 
   /// Replay with exact forward-mode coordinate derivatives (the

@@ -6,13 +6,14 @@
 //
 //     C(x) = sum_j w_j(x) * Phi( (x - x_j) / dx, c_j )
 //
-// Because Phi is smooth (softplus), the spatio-temporal derivatives of the
-// output needed by the PDE equation loss are computed *exactly* by
-// forward-mode propagation of (value, tangent, curvature) jets through the
-// MLP. decode_with_derivatives() runs that propagation as one fused tape
-// node (core/decode_jet.h) whose hand-written backward yields the latent
-// and parameter gradients of the equation loss (the paper's
-// "backpropagation through the derivative computation").
+// decode() runs that as one fused tape node (core/decode_jet.h). Because
+// Phi is smooth (softplus), the spatio-temporal derivatives of the output
+// needed by the PDE equation loss are computed *exactly* by forward-mode
+// propagation of (value, tangent, curvature) jets through the MLP.
+// decode_with_derivatives() runs that propagation as one fused tape node
+// of the same kernel, whose hand-written backward yields the latent and
+// parameter gradients of the equation loss (the paper's "backpropagation
+// through the derivative computation").
 //
 // Derivative conventions: query coordinates are continuous LR-grid indices
 // (t, z, x); all derivatives returned here are per index unit. Conversion
@@ -56,11 +57,11 @@ class ContinuousDecoder : public nn::Module {
   /// either (B, 3) continuous indices into that grid (requires N == 1) or
   /// (N, Q, 3) with one query block per latent sample. Returns
   /// (B, out_channels) resp. (N*Q, out_channels) with sample-major rows.
-  /// On the tape, all (sample, query) pairs run through the shared MLP as
-  /// one wide SGEMM-backed forward. Under NoGradGuard the call instead
-  /// runs the fused kernel's value pass (core/decode_jet.h) over the MLP's
-  /// current weights, within 1e-5 of the tape's values relative to their
-  /// largest entry; it allocates only the output tensor and caches nothing.
+  /// Runs the fused kernel's value pass over the MLP's current weights as
+  /// one tape node with a hand-written backward (core/decode_jet.h), so a
+  /// gamma = 0 training step records one decoder node. Under NoGradGuard
+  /// the same pass records nothing, allocates only the output tensor and
+  /// caches nothing; its values equal the recorded ones bit for bit.
   ad::Var decode(const ad::Var& latent, const Tensor& query_coords);
 
   /// Decode with forward-mode first and second coordinate derivatives.

@@ -598,10 +598,10 @@ void QueryBatcher::execute_unit(std::vector<Request>& batch,
 
     // Several hot latents of one shape with equal-sized query blocks (the
     // canonical serving shape): stack one latent sample per request and
-    // run the decoder's batched (N, Q, 3) path — all N*Q*8 corner rows go
-    // through a single SGEMM-backed MLP forward instead of one decode per
-    // latent. The (N*Q, out) sample-major result demuxes by contiguous
-    // row ranges, exactly like the concatenated case.
+    // run one (N, Q, 3) decode unit — at fp32 one value pass of the plan
+    // (or the no-grad decode()) over all N*Q queries, instead of one
+    // decode per latent. The (N*Q, out) sample-major result demuxes by
+    // contiguous row ranges, exactly like the concatenated case.
     const Tensor& l0 = first.latent;
     const std::int64_t q0 = first.coords.dim(0);
     const std::int64_t N = static_cast<std::int64_t>(members.size());

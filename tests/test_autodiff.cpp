@@ -175,19 +175,6 @@ TEST(SliceCols, ForwardAndScatterBack) {
   EXPECT_EQ(x.grad().at({1, 2}), 1.0f);
 }
 
-TEST(MulColvec, BroadcastAndGrads) {
-  Var a(Tensor::from_vector(Shape{2, 2}, {1, 2, 3, 4}), true);
-  Var v(Tensor::from_vector(Shape{2, 1}, {10, 100}), true);
-  Var y = mul_colvec(a, v);
-  EXPECT_EQ(y.value().at({0, 1}), 20.0f);
-  EXPECT_EQ(y.value().at({1, 0}), 300.0f);
-  backward(sum(y));
-  EXPECT_EQ(a.grad().at({0, 0}), 10.0f);
-  EXPECT_EQ(a.grad().at({1, 1}), 100.0f);
-  EXPECT_EQ(v.grad().at({0, 0}), 3.0f);   // 1+2
-  EXPECT_EQ(v.grad().at({1, 0}), 7.0f);   // 3+4
-}
-
 TEST(ConcatOp, SplitsGradientBack) {
   Var a(Tensor::ones(Shape{2, 2}), true);
   Var b(Tensor::ones(Shape{2, 3}), true);
@@ -204,29 +191,6 @@ TEST(ReshapeOp, GradKeepsShape) {
   backward(sum(r));
   EXPECT_EQ(x.grad().numel(), 6);
   for (int i = 0; i < 6; ++i) EXPECT_EQ(x.grad().data()[i], 1.0f);
-}
-
-TEST(GatherVoxels, GathersAndScatters) {
-  // grid (1, 2, 2, 2, 2): channel stride = 8
-  Var grid(Tensor::arange(16).reshape(Shape{1, 2, 2, 2, 2}), true);
-  std::vector<VoxelIndex> idx = {{0, 0, 0, 0}, {0, 1, 1, 1}, {0, 1, 1, 1}};
-  Var g = gather_voxels(grid, idx);
-  ASSERT_EQ(g.shape(), (Shape{3, 2}));
-  EXPECT_EQ(g.value().at({0, 0}), 0.0f);   // (0, c=0, 0,0,0)
-  EXPECT_EQ(g.value().at({0, 1}), 8.0f);   // (0, c=1, 0,0,0)
-  EXPECT_EQ(g.value().at({1, 0}), 7.0f);   // (0, c=0, 1,1,1)
-  EXPECT_EQ(g.value().at({1, 1}), 15.0f);
-  backward(sum(g));
-  // voxel (1,1,1) gathered twice -> grad 2 in both channels
-  EXPECT_EQ(grid.grad().at({0, 0, 1, 1, 1}), 2.0f);
-  EXPECT_EQ(grid.grad().at({0, 1, 1, 1, 1}), 2.0f);
-  EXPECT_EQ(grid.grad().at({0, 0, 0, 0, 0}), 1.0f);
-}
-
-TEST(GatherVoxels, OutOfRangeThrows) {
-  Var grid(Tensor::zeros(Shape{1, 1, 2, 2, 2}), true);
-  std::vector<VoxelIndex> idx = {{0, 2, 0, 0}};
-  EXPECT_THROW(gather_voxels(grid, idx), mfn::Error);
 }
 
 }  // namespace

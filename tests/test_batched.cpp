@@ -14,6 +14,8 @@
 #include "data/dataset.h"
 #include "tensor/tensor_ops.h"
 
+#include "tape_decoder.h"
+
 namespace mfn::core {
 namespace {
 
@@ -122,10 +124,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          nn::Activation::kReLU)));
 
 TEST(BatchedDecode, NoGradValuePassMatchesTapePath) {
-  // decode() runs the fused kernel's value pass under NoGradGuard and the
-  // tape ops otherwise. The value pass projects the blended last hidden
-  // layer once per query, so the two agree within the derivative node's
-  // member gate: 1e-5 of the largest entry.
+  // decode() runs the fused kernel's value pass; the reference is the
+  // decoder composed from tape ops (tape_decoder.h). The value pass
+  // projects the blended last hidden layer once per query, so the two
+  // agree within the derivative node's member gate: 1e-5 of the largest
+  // entry.
   for (auto act : {nn::Activation::kSoftplus, nn::Activation::kTanh,
                    nn::Activation::kReLU}) {
     Rng rng(505);
@@ -136,7 +139,7 @@ TEST(BatchedDecode, NoGradValuePassMatchesTapePath) {
     Tensor coords = batched_coords(N, Q, rng);
 
     ad::Var latent = model.encode(lr);
-    ad::Var taped = model.decoder().decode(latent, coords);
+    ad::Var taped = tape::decode(model.decoder().mlp(), latent, coords, Q);
     Tensor value_pass;
     {
       ad::NoGradGuard guard;
@@ -188,10 +191,14 @@ TEST(BatchedLoss, BatchedLossMatchesPerSampleAverage) {
   EXPECT_NEAR(le_batched, le_acc / N, std::abs(le_acc / N) * 1e-2 + 1e-4);
 }
 
-TEST(BatchedTrainerStep, GradcheckAgainstFiniteDifferences) {
-  // One batched training step's gradient (reverse mode through the batched
-  // forward-mode derivative computation) checked against central finite
-  // differences on the first decoder-MLP weight matrix.
+class BatchedTrainerStep : public ::testing::TestWithParam<double> {};
+
+TEST_P(BatchedTrainerStep, GradcheckAgainstFiniteDifferences) {
+  // One batched training step's gradient checked against central finite
+  // differences on the first decoder-MLP weight matrix: at gamma = 0 the
+  // step decodes through the value node, otherwise reverse mode runs
+  // through the batched forward-mode derivative computation.
+  const double gamma = GetParam();
   Rng rng(404);
   MFNConfig cfg = tiny_model_config();
   cfg.decoder.hidden = {8};
@@ -205,7 +212,6 @@ TEST(BatchedTrainerStep, GradcheckAgainstFiniteDifferences) {
   EquationLossConfig eq;
   eq.constants = RBConstants::from_ra_pr(1e5, 1.0);
   eq.cell_size = {0.1, 0.125, 0.25};
-  const double gamma = 0.0125;
 
   data::BatchedSample batch;
   batch.lr_patches = lr;
@@ -238,6 +244,9 @@ TEST(BatchedTrainerStep, GradcheckAgainstFiniteDifferences) {
   }
   EXPECT_GT(checked, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Gammas, BatchedTrainerStep,
+                         ::testing::Values(0.0, 0.0125));
 
 TEST(BatchedSampler, SampleBatchShapesAndWrapper) {
   data::DatasetConfig dcfg;

@@ -262,10 +262,16 @@ TEST(ConvImplicit, SizingOverflowGuardThrows) {
   EXPECT_THROW(conv3d_output_shape(input, weight, spec), Error);
 }
 
-TEST(CachingAllocator, TrainerStepGradcheckAndSteadyStateAllocs) {
+// The fixture of the trainer-step allocator test: the step's gamma, 0 for
+// a step that decodes through the value node, > 0 for one that decodes
+// the derivative bundle.
+class CachingAllocator : public ::testing::TestWithParam<double> {};
+
+TEST_P(CachingAllocator, TrainerStepGradcheckAndSteadyStateAllocs) {
   // One batched training step's gradient, with the caching tensor
   // allocator active (it always is), checked against central finite
   // differences; then repeated steps must stop touching the heap.
+  const double gamma = GetParam();
   Rng rng(404);
   core::MFNConfig cfg;
   cfg.unet.in_channels = 4;
@@ -294,7 +300,6 @@ TEST(CachingAllocator, TrainerStepGradcheckAndSteadyStateAllocs) {
   core::EquationLossConfig eq;
   eq.constants = core::RBConstants::from_ra_pr(1e5, 1.0);
   eq.cell_size = {0.1, 0.125, 0.25};
-  const double gamma = 0.0125;
 
   auto loss_fn = [&]() {
     return core::batched_step_loss(model, batch, eq, gamma).loss;
@@ -341,6 +346,9 @@ TEST(CachingAllocator, TrainerStepGradcheckAndSteadyStateAllocs) {
   EXPECT_LE(heap * 10, allocs)
       << "heap allocs " << heap << " of " << allocs << " tensor allocs";
 }
+
+INSTANTIATE_TEST_SUITE_P(Gammas, CachingAllocator,
+                         ::testing::Values(0.0, 0.0125));
 
 }  // namespace
 }  // namespace mfn

@@ -9,6 +9,9 @@
 #include "autodiff/gradcheck.h"
 #include "autodiff/ops.h"
 #include "common/rng.h"
+#include "nn/mlp.h"
+
+#include "tape_decoder.h"
 
 namespace mfn::ad {
 namespace {
@@ -103,6 +106,15 @@ TEST(GradCheck, MatmulAndLinear) {
   };
   auto res2 = gradcheck(fn2, {x, w, bias});
   EXPECT_TRUE(res2.ok) << res2.detail;
+
+  // Columns of a concatenation: both gradients split back.
+  Var l(Tensor::randn(Shape{4, 2}, rng, 0.5f), true);
+  Var r(Tensor::randn(Shape{4, 3}, rng, 0.5f), true);
+  auto fn3 = [](const std::vector<Var>& in) {
+    return mean(square(slice_cols(concat({in[0], in[1]}, 1), 1, 4)));
+  };
+  auto res3 = gradcheck(fn3, {l, r});
+  EXPECT_TRUE(res3.ok) << res3.detail;
 }
 
 TEST(GradCheck, Conv3dAllInputs) {
@@ -162,22 +174,26 @@ TEST(GradCheck, BatchNorm3d) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-TEST(GradCheck, GatherConcatSliceColvecPipeline) {
-  // Composite graph resembling the decoder plumbing.
+TEST(GradCheck, TapeDecoderReference) {
+  // The tape decoder the fused decoder kernel is tested against:
+  // gather_voxels_concat -> MLP -> blend_corners, differentiated in the
+  // latent and in every MLP weight and bias. Two latent samples, queries
+  // inside cells and past the clamped margins.
   mfn::Rng rng(11);
-  Var grid(Tensor::randn(Shape{1, 3, 2, 2, 2}, rng), true);
-  std::vector<VoxelIndex> idx = {{0, 0, 0, 0}, {0, 1, 1, 0}, {0, 1, 1, 1},
-                                 {0, 0, 1, 1}};
-  Var coords(Tensor::randn(Shape{4, 2}, rng), false);
-  Var wcol(Tensor::uniform(Shape{4, 1}, rng, 0.1f, 0.9f), false);
+  Var latent(Tensor::randn(Shape{2, 3, 2, 3, 3}, rng), true);
+  nn::MLP mlp({3 + 3, 5, 2}, rng, nn::Activation::kSoftplus);
+  const std::int64_t q = 3;
+  Tensor coords = Tensor::from_vector(
+      Shape{2, q, 3}, {0.25f, 0.5f, 1.75f,  0.9f, 1.5f, 0.1f,
+                       -0.3f, 2.4f, 0.6f,   0.6f, 0.2f, 1.3f,
+                       0.1f,  1.1f, 1.9f,   1.2f, 0.7f, -0.2f});
+  Var wts(Tensor::randn(Shape{2 * q, 2}, rng), false);
+  std::vector<Var> inputs{latent};
+  for (Var* p : mlp.parameters()) inputs.push_back(*p);
   auto fn = [&](const std::vector<Var>& in) {
-    Var g = gather_voxels(in[0], idx);          // (4, 3)
-    Var cat = concat({coords, g}, 1);           // (4, 5)
-    Var s = slice_cols(cat, 2, 5);              // latent part back
-    Var weighted = mul_colvec(s, wcol);         // per-row weights
-    return mean(square(weighted));
+    return sum(mul(tape::decode(mlp, in[0], coords, q), wts));
   };
-  auto res = gradcheck(fn, {grid});
+  auto res = gradcheck(fn, inputs);
   EXPECT_TRUE(res.ok) << res.detail;
 }
 

@@ -26,6 +26,8 @@
 #include "serve/engine.h"
 #include "threading/thread_pool.h"
 
+#include "tape_decoder.h"
+
 namespace mfn {
 namespace {
 
@@ -61,12 +63,13 @@ Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q, bool flat) {
   return c;
 }
 
-// The plans' oracle: the decode built on the tape. It runs without
-// NoGradGuard because a no-grad decode() runs the fused value pass.
+// The plans' oracle: the decoder composed from tape ops
+// (tape_decoder.h). `coords` is (n, q, 3) or, for n = 1, (q, 3).
 Tensor tape_decode(core::MeshfreeFlowNet& model, const Tensor& latent,
                    const Tensor& coords) {
   ad::Var lv(latent, /*requires_grad=*/false);
-  return model.decoder().decode(lv, coords).value();
+  const std::int64_t q = coords.numel() / 3 / latent.dim(0);
+  return tape::decode(model.decoder().mlp(), lv, coords, q).value();
 }
 
 void expect_bitwise_equal(const Tensor& a, const Tensor& b,

@@ -20,7 +20,7 @@ import sys
 
 # Metrics where larger is better; anything else (sec_*, *_per_step,
 # threads, sizes) is identifying or lower-is-better context we don't gate
-# on, except the explicit allocation counter below.
+# on.
 RATE_METRICS = {
     "gflops",
     "qps",
@@ -58,7 +58,11 @@ ID_FIELDS = ("mfn_perf", "op", "batch", "channels", "queries", "m", "n",
              # are different tenant counts and traffic skews. All three are
              # absent on pre-existing lines, so baseline identity there is
              # unchanged.
-             "tenant", "tenants", "zipf")
+             "tenant", "tenants", "zipf",
+             # train_step: the gamma = 0 step (no equation loss) is its own
+             # series; the gamma = 0.0125 line omits the field and keeps
+             # its baseline identity.
+             "gamma")
 
 
 def load(path):
