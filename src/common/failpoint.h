@@ -40,7 +40,9 @@
 //   dist.recv_timeout     a recv deadline expires immediately
 //   dist.worker_crash     training worker _Exit(42)s mid-step
 //   dist.slow_worker      training worker sleeps `arg` ms before its
-//                         heartbeat (drives excision + rejoin)
+//                         step's ring allreduce (drives excision + rejoin)
+//   dist.ring_crash       training worker _Exit(42)s before an allgather
+//                         send (survivors split on the step's commit)
 //
 // Subprocesses are armed through the MFN_FAILPOINTS environment variable
 // (see arm_from_env below).

@@ -360,11 +360,13 @@ TcpChannel::TcpChannel(int rank, TcpChannelConfig config)
 int TcpChannel::listen_port() const { return listener_.bound_port(); }
 
 void TcpChannel::dial(int peer, int port, Purpose purpose,
-                      std::uint32_t epoch) {
+                      std::uint32_t epoch, int timeout_ms) {
   std::string last_error = "no attempts made";
+  const auto deadline = deadline_from(std::max(timeout_ms, 0));
   int backoff = config_.connect_backoff_initial_ms;
   for (int attempt = 0; attempt < config_.connect_attempts; ++attempt) {
     if (attempt > 0) {
+      if (timeout_ms >= 0 && remaining_ms(deadline) < backoff) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       backoff = std::min(backoff * 2, config_.connect_backoff_max_ms);
     }
@@ -393,9 +395,8 @@ void TcpChannel::dial(int peer, int port, Purpose purpose,
     }
   }
   throw ChannelError("dial rank " + std::to_string(peer) + " at " +
-                     config_.host + ":" + std::to_string(port) + " failed after " +
-                     std::to_string(config_.connect_attempts) +
-                     " attempts: " + last_error);
+                     config_.host + ":" + std::to_string(port) +
+                     " failed: " + last_error);
 }
 
 std::optional<std::pair<int, Purpose>> TcpChannel::accept_one(
@@ -501,20 +502,12 @@ void TcpChannel::send(int peer, Purpose purpose, const Message& m) {
 }
 
 std::optional<Message> TcpChannel::recv(int peer, Purpose purpose,
-                                        int timeout_ms,
-                                        std::uint32_t min_epoch) {
-  const auto deadline = deadline_from(timeout_ms);
-  for (;;) {
-    std::optional<Message> m;
-    try {
-      m = require(peer, purpose).recv_frame(remaining_ms(deadline));
-    } catch (const ChannelError&) {
-      drop(peer, purpose);
-      throw;
-    }
-    if (!m) return std::nullopt;
-    if (m->epoch < min_epoch) continue;  // stale epoch: discard
-    return m;
+                                        int timeout_ms) {
+  try {
+    return require(peer, purpose).recv_frame(timeout_ms);
+  } catch (const ChannelError&) {
+    drop(peer, purpose);
+    throw;
   }
 }
 

@@ -11,8 +11,9 @@
 // Topology: every process owns one listening socket (rank 0 on the
 // configured port, everyone else on an ephemeral port advertised through
 // rank 0). Connections are purpose-tagged:
-//   kControl  worker <-> rank-0 coordinator (membership, plans, heartbeats)
-//   kRing     per-epoch neighbor links for the ring allreduce
+//   kControl  worker <-> rank-0 coordinator (admission, meetings, digests)
+//   kRing     neighbor links for the ring allreduce, dialed once per
+//             membership epoch and kept for every step of it
 // A connection opens with a Hello frame naming the dialer's rank, purpose,
 // membership epoch, and listen port, so the acceptor can key it.
 //
@@ -57,19 +58,14 @@ enum class Purpose : std::uint32_t {
   kRingIn = 3,   ///< storage: the link my ring predecessor dialed to me
 };
 
-/// Message types of the training protocol (worker.cpp documents the state
+/// Message types of the training protocol (worker.h documents the state
 /// machine; tcp_channel only frames them).
 enum class MsgType : std::uint32_t {
   kHello = 1,      ///< connection opener: rank, purpose, epoch, listen port
   kSync = 2,       ///< coordinator -> worker: full model/optimizer state
-  kPlan = 3,       ///< coordinator -> worker: step plan (commit/compute/stop)
-  kReady = 4,      ///< worker -> coordinator: step heartbeat + local loss
-  kGo = 5,         ///< coordinator -> worker: ring spec, start allreduce
-  kDone = 6,       ///< worker -> coordinator: allreduce succeeded
-  kAbort = 7,      ///< worker -> coordinator: allreduce failed (peer death)
-  kProbe = 8,      ///< coordinator -> worker: liveness probe
-  kAlive = 9,      ///< worker -> coordinator: probe answer
-  kRingChunk = 10, ///< neighbor -> neighbor: allreduce payload chunk
+  kReady = 4,      ///< worker -> coordinator: at a meeting, committed steps
+  kGo = 5,         ///< coordinator -> worker: next step + ring spec, or stop
+  kRingChunk = 10, ///< neighbor -> neighbor: allreduce chunk + step stamp
   kDigest = 11,    ///< worker -> coordinator: final state digest (on stop)
 };
 
@@ -195,8 +191,10 @@ class TcpChannel {
 
   /// Dial peer's listener with retry/backoff and introduce ourselves with
   /// a Hello for `purpose`/`epoch`. Replaces any existing connection under
-  /// that key. Throws ChannelError when the retry budget is exhausted.
-  void dial(int peer, int port, Purpose purpose, std::uint32_t epoch);
+  /// that key. Throws ChannelError when the retry budget is exhausted or,
+  /// if timeout_ms >= 0, once no retry can start within timeout_ms.
+  void dial(int peer, int port, Purpose purpose, std::uint32_t epoch,
+            int timeout_ms = -1);
 
   /// Accept pending connections (reading their Hello) until a connection
   /// from `peer` with `purpose` and epoch >= min_epoch exists or the
@@ -218,10 +216,8 @@ class TcpChannel {
   void drop_ring();
 
   void send(int peer, Purpose purpose, const Message& m);
-  /// Receive one frame from `peer`; nullopt on idle deadline. Frames with
-  /// epoch < min_epoch are discarded silently (stale ring traffic).
-  std::optional<Message> recv(int peer, Purpose purpose, int timeout_ms,
-                              std::uint32_t min_epoch = 0);
+  /// Receive one frame from `peer`; nullopt on idle deadline.
+  std::optional<Message> recv(int peer, Purpose purpose, int timeout_ms);
   /// Wait for a frame from any of `peers` (control purpose), also pumping
   /// the accept backlog so joiners are never starved. Returns nullopt on
   /// deadline. Throws ChannelError naming the peer on a dead connection;

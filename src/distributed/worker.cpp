@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -55,13 +57,34 @@ void scatter_grads(const std::vector<float>& in,
   }
 }
 
+Message make_message(MsgType type, std::uint32_t epoch, PayloadWriter& w) {
+  Message m;
+  m.type = type;
+  m.epoch = epoch;
+  m.payload = w.take();
+  return m;
+}
+
+/// Rank 0 listens on the rendezvous port, everyone else on an ephemeral
+/// one it advertises in its Hellos.
+TcpChannelConfig channel_config(const DistTrainConfig& cfg) {
+  TcpChannelConfig c;
+  c.host = cfg.host;
+  c.listen_port = cfg.rank == 0 ? cfg.port : 0;
+  c.io_timeout_ms = cfg.io_timeout_ms;
+  return c;
+}
+
 /// One process of the distributed training job. Rank 0 runs
 /// run_coordinator() (it is also a compute worker); everyone else runs
-/// run_follower().
+/// run_follower(). Both drive the same step loop, run_steps().
 class TrainNode {
  public:
   explicit TrainNode(const DistTrainConfig& cfg)
       : cfg_(cfg),
+        // The listener opens before the model build, so a worker that is
+        // ready before rank 0 finds the rendezvous port open.
+        channel_(cfg.rank, channel_config(cfg)),
         model_rng_(cfg.seed),
         model_(dist_tiny_model_config(), model_rng_),
         opt_(model_.parameters(), cfg.adam),
@@ -74,12 +97,6 @@ class TrainNode {
     data::PatchSamplerConfig pcfg;
     pcfg.queries_per_patch = 128;
     sampler_.emplace(pair_, pcfg);
-
-    TcpChannelConfig ccfg;
-    ccfg.host = cfg.host;
-    ccfg.listen_port = cfg.rank == 0 ? cfg.port : 0;
-    ccfg.io_timeout_ms = cfg.io_timeout_ms;
-    channel_.emplace(cfg.rank, ccfg);
 
     const std::int64_t n = total_param_elems(model_.parameters());
     local_flat_.resize(static_cast<std::size_t>(n));
@@ -114,23 +131,81 @@ class TrainNode {
     return step.loss.value().item();
   }
 
-  /// Apply the deferred update: the averaged gradients in scratch_ become
-  /// this step's Adam update on every replica identically.
-  void commit_pending() {
-    MFN_CHECK(have_scratch_, "commit with no completed allreduce");
+  /// Form the links of ring_ (a new epoch). False when a neighbour cannot
+  /// be reached within the heartbeat.
+  bool form_ring() {
+    ring_start_ = Clock::now();
+    try {
+      establish_ring(channel_, ring_, cfg_.heartbeat_timeout_ms);
+      return true;
+    } catch (const ChannelError&) {
+      channel_.drop_ring();
+      return false;
+    }
+  }
+
+  /// The loop every member runs between meetings: compute -> ring
+  /// allreduce -> commit, until a step carries the meet flag (true) or the
+  /// ring fails (false). The allreduce runs on a scratch copy, so after a
+  /// failure local_flat_ still holds the step's gradients for the retry.
+  bool run_steps() {
+    for (;;) {
+      if (!have_grads_) {
+        local_loss_ = compute_local_step();
+        have_grads_ = true;
+      }
+      StepStamp stamp;
+      stamp.step = static_cast<std::uint64_t>(step_);
+      stamp.loss = local_loss_;
+      stamp.meet = cfg_.rank == 0 && want_meeting();
+      stamp.first_wait_ms = cfg_.heartbeat_timeout_ms;
+      scratch_ = local_flat_;
+      ring_start_ = Clock::now();
+      StepOutcome out;
+      try {
+        out = ring_allreduce_average(
+            channel_, ring_, scratch_.data(),
+            static_cast<std::int64_t>(scratch_.size()), cfg_.io_timeout_ms,
+            stamp);
+      } catch (const ChannelError&) {
+        // Close both links now: each neighbour's next recv fails at EOF,
+        // so the failure travels the ring one hop at a time.
+        channel_.drop_ring();
+        return false;
+      }
+      commit(out.losses);
+      if (out.meet) return true;
+    }
+  }
+
+  /// Apply the step's averaged gradients in scratch_: the same Adam update
+  /// on every replica.
+  void commit(const std::vector<double>& losses) {
     scatter_grads(scratch_, model_.parameters());
     opt_.step();
-    have_scratch_ = false;
+    have_grads_ = false;
+    ++step_;
+    if (cfg_.rank != 0) {
+      result_.step_loss.push_back(local_loss_);
+      return;
+    }
+    // Members are sorted by rank, so ring order is rank order.
+    double sum = losses[0];
+    for (std::size_t i = 1; i < losses.size(); ++i) sum += losses[i];
+    result_.step_loss.push_back(sum / static_cast<double>(losses.size()));
+    if (cfg_.checkpoint_every > 0 && step_ < cfg_.steps &&
+        step_ % cfg_.checkpoint_every == 0)
+      publish_checkpoint(step_);
   }
 
   /// FNV-1a over the parameter values + serialized optimizer state — the
   /// replicated state. After every commit these must be bitwise identical
   /// on all replicas (the ring allreduce is deterministic and kSync ships
   /// exact bytes), so at job end every rank's digest must equal rank 0's
-  /// — the invariant the late-join and rejoin paths are most likely to
-  /// break. Module buffers (batch-norm running stats) are deliberately
-  /// excluded: they track each rank's *local* batches and are not part of
-  /// the synchronous-update contract.
+  /// — the invariant the late-join, rejoin and reconcile paths are most
+  /// likely to break. Module buffers (batch-norm running stats) are
+  /// deliberately excluded: they track each rank's *local* batches and are
+  /// not part of the synchronous-update contract.
   std::uint64_t state_digest() {
     std::uint64_t h = 1469598103934665603ull;
     auto mix = [&h](const char* p, std::size_t n) {
@@ -149,150 +224,124 @@ class TrainNode {
     return h;
   }
 
-  Ring make_ring(const std::set<int>& live) const {
-    Ring ring;
-    ring.epoch = epoch_;
-    for (int r : live) {
-      const int port = r == cfg_.rank ? channel_->listen_port()
-                       : r == 0       ? cfg_.port
-                                      : channel_->peer_listen_port(r);
-      ring.members.push_back(
-          {r, static_cast<std::int32_t>(port)});
-    }
-    return ring;
-  }
-
-  /// Run the elastic allreduce for `ring` on a fresh scratch copy of the
-  /// local gradients. Returns false on any transport failure.
-  bool try_allreduce(const Ring& ring) {
-    scratch_ = local_flat_;
-    try {
-      establish_ring(*channel_, ring, cfg_.io_timeout_ms);
-      ring_allreduce_average(*channel_, ring, scratch_.data(),
-                             static_cast<std::int64_t>(scratch_.size()),
-                             cfg_.io_timeout_ms);
-      return true;
-    } catch (const ChannelError&) {
-      return false;
-    }
-  }
-
   // -------------------------------------------------------- coordinator --
-  void excise(std::set<int>& live, int rank, Clock::time_point t0) {
-    channel_->drop(rank, Purpose::kControl);
-    channel_->drop(rank, Purpose::kRingOut);
-    channel_->drop(rank, Purpose::kRingIn);
-    live.erase(rank);
-    epoch_++;
-    result_.excised_ranks.push_back(rank);
-    result_.detect_ms.push_back(ms_since(t0));
+  /// Rank 0 raises the meet flag on the last step and whenever a joiner (a
+  /// late start or an excised worker re-dialing) is waiting.
+  bool want_meeting() {
+    for (int rank : channel_.poll_accept(0))
+      if (rank > 0) joiners_.push_back(rank);
+    return step_ + 1 >= cfg_.steps || !joiners_.empty();
   }
 
-  /// Send the full model + optimizer state so `rank` can join the next
-  /// step. Returns false (without admitting) if the send fails.
-  bool send_sync(int rank, int next_step) {
+  void excise(int rank) {
+    channel_.drop(rank, Purpose::kControl);
+    live_.erase(rank);
+    result_.excised_ranks.push_back(rank);
+    result_.detect_ms.push_back(ms_since(ring_start_));
+  }
+
+  /// Send the full model + optimizer state and the committed step count,
+  /// which `rank` adopts. Returns false if the send fails.
+  bool send_sync(int rank) {
     std::ostringstream model_bytes, opt_bytes;
     model_.save(model_bytes);
     opt_.save_state(opt_bytes);
-    Message m;
-    m.type = MsgType::kSync;
-    m.epoch = epoch_;
     PayloadWriter w;
-    w.u64(static_cast<std::uint64_t>(next_step));
+    w.u64(static_cast<std::uint64_t>(step_));
     const std::string mb = model_bytes.str(), ob = opt_bytes.str();
     w.u64(mb.size());
     w.bytes(mb.data(), mb.size());
     w.u64(ob.size());
     w.bytes(ob.data(), ob.size());
-    m.payload = w.take();
     try {
-      channel_->send(rank, Purpose::kControl, m);
+      channel_.send(rank, Purpose::kControl,
+                    make_message(MsgType::kSync, epoch_, w));
       return true;
     } catch (const ChannelError&) {
       return false;
     }
   }
 
-  void admit_joiners(std::set<int>& live, int next_step) {
-    for (int rank : channel_->poll_accept(0)) {
-      if (rank <= 0) continue;
-      if (send_sync(rank, next_step)) {
-        live.insert(rank);
+  /// Admit every waiting joiner by kSync; wait_ms bounds the wait for the
+  /// first Hello.
+  void admit_joiners(int wait_ms) {
+    for (int rank : channel_.poll_accept(wait_ms))
+      if (rank > 0) joiners_.push_back(rank);
+    for (int rank : joiners_)
+      if (send_sync(rank)) {
+        live_.insert(rank);
         result_.joins++;
       }
-    }
+    joiners_.clear();
   }
 
-  /// Broadcast `m` to every live worker; a failed send excises the peer.
-  /// Returns true when the broadcast reached everyone (membership
-  /// unchanged).
-  bool broadcast(std::set<int>& live, const Message& m) {
-    const auto t0 = Clock::now();
-    bool clean = true;
-    for (int rank : std::vector<int>(live.begin(), live.end())) {
-      if (rank == 0) continue;
-      try {
-        channel_->send(rank, Purpose::kControl, m);
-      } catch (const ChannelError&) {
-        excise(live, rank, t0);
-        clean = false;
+  /// Send `m` to every live worker; a failed send excises the peer.
+  void broadcast(const Message& m) {
+    for (int rank : std::vector<int>(live_.begin(), live_.end()))
+      if (rank != 0) {
+        try {
+          channel_.send(rank, Purpose::kControl, m);
+        } catch (const ChannelError&) {
+          excise(rank);
+        }
       }
-    }
-    return clean;
   }
 
-  Message make_plan(int step, bool commit, bool stop) const {
-    Message m;
-    m.type = MsgType::kPlan;
-    m.epoch = epoch_;
-    PayloadWriter w;
-    w.u64(static_cast<std::uint64_t>(step));
-    w.u8(commit ? 1 : 0);
-    w.u8(stop ? 1 : 0);
-    m.payload = w.take();
-    return m;
-  }
-
-  /// Collect one message of `want` type from every live worker within the
-  /// heartbeat deadline; non-reporters and broken peers are excised.
-  /// `on_msg` sees each report (including kAbort when want == kDone).
-  void collect(std::set<int>& live, MsgType want, int deadline_ms,
-               const std::function<void(int, const Message&)>& on_msg) {
+  /// Collect one `want` message of the current epoch from every live
+  /// worker within the heartbeat deadline; non-reporters and broken peers
+  /// are excised.
+  void collect(MsgType want,
+               const std::function<void(int, PayloadReader&)>& on_msg) {
     const auto t0 = Clock::now();
-    std::set<int> waiting;
-    for (int r : live)
-      if (r != 0) waiting.insert(r);
+    std::set<int> waiting(live_);
+    waiting.erase(0);
     while (!waiting.empty()) {
       const int left =
-          deadline_ms - static_cast<int>(ms_since(t0));
+          cfg_.heartbeat_timeout_ms - static_cast<int>(ms_since(t0));
       if (left <= 0) break;
       int failed = -1;
       std::optional<std::pair<int, Message>> got;
       try {
-        got = channel_->recv_any(
+        got = channel_.recv_any(
             std::vector<int>(waiting.begin(), waiting.end()), left,
             &failed);
       } catch (const ChannelError&) {
         if (failed >= 0) {
-          excise(live, failed, t0);
+          excise(failed);
           waiting.erase(failed);
         }
         continue;
       }
       if (!got) break;  // deadline
-      const int rank = got->first;
       const Message& m = got->second;
-      if (m.type == want ||
-          (want == MsgType::kDone && m.type == MsgType::kAbort)) {
-        on_msg(rank, m);
-        waiting.erase(rank);
-      }
-      // Anything else (stale kAlive, a late report from a previous
-      // phase) is dropped; the sender stays in the waiting set.
+      // Anything else (a leftover of an older epoch) is dropped; the
+      // sender stays in the waiting set.
+      if (m.type != want || m.epoch != epoch_) continue;
+      PayloadReader r(m.payload);
+      on_msg(got->first, r);
+      waiting.erase(got->first);
     }
     // Whoever never reported is dead or too slow: excise.
-    for (int rank : std::vector<int>(waiting.begin(), waiting.end()))
-      excise(live, rank, t0);
+    for (int rank : waiting) excise(rank);
+  }
+
+  Ring make_ring() const {
+    Ring ring;
+    ring.epoch = epoch_;
+    for (int r : live_) {
+      const int port = r == 0 ? channel_.listen_port()
+                              : channel_.peer_listen_port(r);
+      ring.members.push_back({r, static_cast<std::int32_t>(port)});
+    }
+    return ring;
+  }
+
+  Message go_message(bool stop) const {
+    PayloadWriter w;
+    w.u64(static_cast<std::uint64_t>(step_));
+    w.u8(stop ? 1 : 0);
+    if (!stop) write_ring(w, ring_);
+    return make_message(MsgType::kGo, epoch_, w);
   }
 
   void publish_checkpoint(int step) {
@@ -316,6 +365,7 @@ class TrainNode {
        << ",\"final_world\":" << result_.final_world
        << ",\"epoch\":" << result_.final_epoch << ",\"joins\":"
        << result_.joins << ",\"retries\":" << result_.retries
+       << ",\"meetings\":" << result_.meetings
        << ",\"checkpoints\":" << result_.checkpoints_published
        << ",\"digest_mismatch\":" << result_.digest_mismatches
        << ",\"excised\":";
@@ -330,98 +380,87 @@ class TrainNode {
                 cfg_.status_path.c_str());
   }
 
-  void run_coordinator() {
-    std::set<int> live{0};
-    // Initial assembly: wait for the expected world (minus us), then
-    // start with whoever made it.
-    const auto t0 = Clock::now();
-    while (static_cast<int>(live.size()) < cfg_.world &&
-           ms_since(t0) < cfg_.join_timeout_ms) {
-      admit_joiners(live, 0);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    MFN_CHECK(static_cast<int>(live.size()) >= cfg_.min_world,
-              "only " << live.size() << " of " << cfg_.min_world
-                      << " required ranks joined");
-
-    for (int s = 0; s < cfg_.steps; ++s) {
-      // Commit step s-1's deferred update BEFORE admitting joiners, so
-      // the kSync snapshot already contains it. load_sync clears the
-      // joiner's have_scratch_, making it skip this plan's commit flag —
-      // which is only correct if the synced state is post-commit; syncing
-      // first would leave every joiner one Adam update behind forever.
-      const bool commit = have_scratch_;
-      if (commit) {
-        commit_pending();
-        if (cfg_.checkpoint_every > 0 && s % cfg_.checkpoint_every == 0)
-          publish_checkpoint(s);
+  /// One meeting on the control connections. After a run of steps
+  /// (reports_due) every worker reports its committed step count; rank 0
+  /// excises the silent, moves every survivor whose count differs from
+  /// its own onto its state, admits joiners and sends the next kGo with a
+  /// new epoch — or, once every step is committed, stops the job. Returns
+  /// false when the job is over.
+  bool meet(bool reports_due, bool ring_failed) {
+    result_.meetings++;
+    const std::size_t excised_before = result_.excised_ranks.size();
+    bool failed = ring_failed;
+    if (reports_due) {
+      std::map<int, int> done;  // rank -> committed steps
+      collect(MsgType::kReady, [&](int rank, PayloadReader& r) {
+        done[rank] = static_cast<int>(r.u64());
+      });
+      // Survivors of a failed step can disagree by one commit: a member
+      // whose last allgather recv succeeded committed a step that its
+      // successor never completed. Whoever differs from rank 0 takes its
+      // state (forward or back) and recomputes its gradients.
+      for (const auto& [rank, steps] : done) {
+        if (steps == step_ || live_.count(rank) == 0) continue;
+        failed = true;
+        if (!send_sync(rank)) excise(rank);
       }
-      admit_joiners(live, s);
-      broadcast(live, make_plan(s, commit, false));
-
-      double loss_sum = compute_local_step();
-      int loss_n = 1;
-      collect(live, MsgType::kReady, cfg_.heartbeat_timeout_ms,
-              [&](int, const Message& m) {
-                PayloadReader r(m.payload);
-                r.u64();  // step
-                loss_sum += r.f64();
-                loss_n++;
-              });
-
-      // Allreduce, retrying at a smaller world after any failure.
-      for (;;) {
-        MFN_CHECK(static_cast<int>(live.size()) >= cfg_.min_world,
-                  "live world shrank below min_world at step " << s);
-        const Ring ring = make_ring(live);
-        Message go;
-        go.type = MsgType::kGo;
-        go.epoch = epoch_;
-        PayloadWriter w;
-        write_ring(w, ring);
-        go.payload = w.take();
-        if (!broadcast(live, go)) {
-          result_.retries++;
-          continue;  // membership changed mid-broadcast: new ring
-        }
-        const bool ok = try_allreduce(ring);
-        bool abort = !ok;
-        const std::size_t before = result_.excised_ranks.size();
-        collect(live, MsgType::kDone,
-                cfg_.heartbeat_timeout_ms + cfg_.io_timeout_ms,
-                [&](int, const Message& m) {
-                  if (m.type == MsgType::kAbort) abort = true;
-                });
-        const bool excised = result_.excised_ranks.size() != before;
-        if (ok && !abort && !excised) break;
-        result_.retries++;
-        if (!excised) epoch_++;  // transport hiccup: force a fresh ring
-      }
-      have_scratch_ = true;
-      result_.step_loss.push_back(loss_sum / loss_n);
     }
+    if (failed || result_.excised_ranks.size() != excised_before)
+      result_.retries++;
+    if (step_ >= cfg_.steps) {
+      finish();
+      return false;
+    }
+    admit_joiners(0);
+    MFN_CHECK(static_cast<int>(live_.size()) >= cfg_.min_world,
+              "live world shrank below min_world at step " << step_);
+    if (reports_due) epoch_++;  // every meeting after the first re-forms
+    ring_ = make_ring();
+    // A worker whose kGo cannot be sent is excised here; the ring that
+    // names it then fails to form, which is a failure like any other.
+    broadcast(go_message(false));
+    return true;
+  }
 
-    broadcast(live, make_plan(cfg_.steps, true, true));
-    commit_pending();
+  /// The stop meeting: every worker answers the stop with its digest.
+  void finish() {
+    broadcast(go_message(true));
     publish_checkpoint(cfg_.steps);
-    // Replica-consistency audit: every worker reports its final state
-    // digest with the stop acknowledgement; any divergence from rank 0's
-    // is a protocol bug and surfaces in the status JSON for the tests.
+    // Replica-consistency audit: any divergence from rank 0's digest is a
+    // protocol bug and surfaces in the status JSON for the tests.
     const std::uint64_t digest = state_digest();
-    collect(live, MsgType::kDigest, cfg_.heartbeat_timeout_ms,
-            [&](int, const Message& m) {
-              PayloadReader r(m.payload);
-              if (r.u64() != digest) result_.digest_mismatches++;
-            });
-    result_.final_world = static_cast<int>(live.size());
+    collect(MsgType::kDigest, [&](int, PayloadReader& r) {
+      if (r.u64() != digest) result_.digest_mismatches++;
+    });
+    result_.final_world = static_cast<int>(live_.size());
     result_.final_epoch = epoch_;
     write_status(cfg_.steps);
+  }
+
+  void run_coordinator() {
+    // Initial assembly: block on the listener for the rest of the join
+    // window until the expected world is in, then start with whoever made
+    // it.
+    const auto t0 = Clock::now();
+    while (static_cast<int>(live_.size()) < cfg_.world) {
+      const int left = cfg_.join_timeout_ms - static_cast<int>(ms_since(t0));
+      if (left <= 0) break;
+      admit_joiners(left);
+    }
+    MFN_CHECK(static_cast<int>(live_.size()) >= cfg_.min_world,
+              "only " << live_.size() << " of " << cfg_.min_world
+                      << " required ranks joined");
+    bool reports_due = false, failed = false;
+    while (meet(reports_due, failed)) {
+      failed = !(form_ring() && run_steps());
+      reports_due = true;
+    }
   }
 
   // ------------------------------------------------------------- worker --
   void load_sync(const Message& m) {
     PayloadReader r(m.payload);
-    r.u64();  // next step (informational)
+    step_ = static_cast<int>(r.u64());
     std::string model_bytes(r.u64(), '\0');
     r.bytes(model_bytes.data(), model_bytes.size());
     std::string opt_bytes(r.u64(), '\0');
@@ -429,18 +468,18 @@ class TrainNode {
     std::istringstream ms(model_bytes), os(opt_bytes);
     model_.load(ms);
     opt_.load_state(os);
-    have_scratch_ = false;
+    have_grads_ = false;
   }
 
   /// Re-dial rank 0 after an excision (or a lost coordinator). Returns
   /// false when rank 0 is gone — the normal end-of-job signal for a
   /// worker that was excised near the finish.
   bool rejoin() {
-    channel_->drop(0, Purpose::kControl);
-    channel_->drop_ring();
+    channel_.drop(0, Purpose::kControl);
+    channel_.drop_ring();
     if (!cfg_.rejoin) return false;
     try {
-      channel_->dial(0, cfg_.port, Purpose::kControl, epoch_);
+      channel_.dial(0, cfg_.port, Purpose::kControl, ring_.epoch);
       result_.rejoins++;
       return true;
     } catch (const ChannelError&) {
@@ -449,103 +488,63 @@ class TrainNode {
   }
 
   void run_follower() {
-    channel_->dial(0, cfg_.port, Purpose::kControl, 0);
+    channel_.dial(0, cfg_.port, Purpose::kControl, 0);
     int idle_strikes = 0;
     for (;;) {
       std::optional<Message> m;
       try {
-        m = channel_->recv(0, Purpose::kControl, cfg_.join_timeout_ms);
+        m = channel_.recv(0, Purpose::kControl, cfg_.join_timeout_ms);
       } catch (const ChannelError&) {
         if (!rejoin()) return;
         continue;
       }
       if (!m) {
         // Coordinator silent for a whole join window: assume it is gone
-        // after a couple of strikes (it may legitimately be mid-compute).
+        // after a couple of strikes (it may legitimately be mid-meeting).
         if (++idle_strikes >= 3) return;
         continue;
       }
       idle_strikes = 0;
-      switch (m->type) {
-        case MsgType::kSync:
-          load_sync(*m);
-          break;
-        case MsgType::kPlan: {
-          PayloadReader r(m->payload);
-          r.u64();  // step
-          const bool commit = r.u8() != 0;
-          const bool stop = r.u8() != 0;
-          if (commit && have_scratch_) commit_pending();
-          if (stop) {
-            Message d;
-            d.type = MsgType::kDigest;
-            d.epoch = m->epoch;
-            PayloadWriter w;
-            w.u64(state_digest());
-            d.payload = w.take();
-            try {
-              channel_->send(0, Purpose::kControl, d);
-            } catch (const ChannelError&) {
-              // Job is over either way; the coordinator counts us absent.
-            }
-            return;
-          }
-          const double loss = compute_local_step();
-          Message ready;
-          ready.type = MsgType::kReady;
-          ready.epoch = m->epoch;
-          PayloadWriter w;
-          w.u64(0);
-          w.f64(loss);
-          ready.payload = w.take();
-          try {
-            channel_->send(0, Purpose::kControl, ready);
-          } catch (const ChannelError&) {
-            if (!rejoin()) return;
-          }
-          result_.step_loss.push_back(loss);
-          break;
+      if (m->type == MsgType::kSync) {
+        load_sync(*m);
+        continue;
+      }
+      if (m->type != MsgType::kGo) continue;
+      PayloadReader r(m->payload);
+      const auto step = static_cast<int>(r.u64());
+      if (r.u8() != 0) {  // stop: answer with the state digest
+        PayloadWriter w;
+        w.u64(state_digest());
+        try {
+          channel_.send(0, Purpose::kControl,
+                        make_message(MsgType::kDigest, m->epoch, w));
+        } catch (const ChannelError&) {
+          // Job is over either way; the coordinator counts us absent.
         }
-        case MsgType::kGo: {
-          PayloadReader r(m->payload);
-          const Ring ring = read_ring(r);
-          epoch_ = ring.epoch;
-          if (ring_position(ring, cfg_.rank) < 0) break;  // not a member
-          const bool ok = try_allreduce(ring);
-          have_scratch_ = ok;
-          Message outcome;
-          outcome.type = ok ? MsgType::kDone : MsgType::kAbort;
-          outcome.epoch = ring.epoch;
-          PayloadWriter w;
-          w.u64(0);
-          outcome.payload = w.take();
-          try {
-            channel_->send(0, Purpose::kControl, outcome);
-          } catch (const ChannelError&) {
-            if (!rejoin()) return;
-          }
-          result_.final_world = ring.world();
-          result_.final_epoch = ring.epoch;
-          break;
-        }
-        case MsgType::kProbe: {
-          Message alive;
-          alive.type = MsgType::kAlive;
-          alive.epoch = m->epoch;
-          try {
-            channel_->send(0, Purpose::kControl, alive);
-          } catch (const ChannelError&) {
-            if (!rejoin()) return;
-          }
-          break;
-        }
-        default:
-          break;  // stale ring traffic etc.: ignore
+        return;
+      }
+      ring_ = read_ring(r);
+      result_.final_world = ring_.world();
+      result_.final_epoch = ring_.epoch;
+      // Rank 0 syncs every worker whose count differs before its kGo.
+      MFN_CHECK(step == step_, "rank " << cfg_.rank << " has committed "
+                                       << step_ << " steps, told to run step "
+                                       << step);
+      if (form_ring()) run_steps();
+      // A meeting (the meet flag or a failed ring): report.
+      PayloadWriter w;
+      w.u64(static_cast<std::uint64_t>(step_));
+      try {
+        channel_.send(0, Purpose::kControl,
+                      make_message(MsgType::kReady, ring_.epoch, w));
+      } catch (const ChannelError&) {
+        if (!rejoin()) return;
       }
     }
   }
 
   DistTrainConfig cfg_;
+  TcpChannel channel_;
   Rng model_rng_;
   core::MeshfreeFlowNet model_;
   optim::Adam opt_;
@@ -553,12 +552,18 @@ class TrainNode {
   data::SRPair pair_;
   std::optional<data::PatchSampler> sampler_;
   core::EquationLossConfig eq_config_;
-  std::optional<TcpChannel> channel_;
 
-  std::vector<float> local_flat_;  ///< this step's local flat gradients
-  std::vector<float> scratch_;     ///< allreduce workspace / pending avg
-  bool have_scratch_ = false;      ///< scratch_ holds a committable average
-  std::uint32_t epoch_ = 1;        ///< membership epoch (bumps on excision)
+  Ring ring_;                      ///< the current epoch's members
+  std::uint32_t epoch_ = 1;        ///< rank 0: membership epoch
+  std::set<int> live_{0};          ///< rank 0: ring members
+  std::vector<int> joiners_;       ///< rank 0: Hellos awaiting admission
+  int step_ = 0;                   ///< committed steps
+  std::vector<float> local_flat_;  ///< local gradients of step step_
+  double local_loss_ = 0.0;        ///< ... and their loss
+  bool have_grads_ = false;        ///< local_flat_ is current
+  std::vector<float> scratch_;     ///< allreduce workspace
+  /// Rank 0: when it last started waiting on the ring (detect_ms origin).
+  Clock::time_point ring_start_ = Clock::now();
 
   DistTrainResult result_;
 };

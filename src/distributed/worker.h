@@ -2,50 +2,62 @@
 //
 // run_train_worker() is the per-process entry point (`mfn train-worker`
 // wraps it): rank 0 is the coordinator *and* a compute worker, everyone
-// else dials rank 0's control port. Each step runs a synchronous
-// coordinator-driven protocol:
+// else dials rank 0's control port.
 //
-//   kPlan   rank0 -> all     step number + commit/stop flags. The commit
-//                            flag applies the PREVIOUS step's averaged
-//                            gradients — updates are deferred until the
-//                            coordinator has seen every rank finish the
-//                            allreduce, so a mid-allreduce failure can be
-//                            retried from preserved local gradients
-//                            without any replica diverging.
-//   kReady  all -> rank0     per-step heartbeat carrying the local loss.
-//                            A rank that misses the heartbeat deadline
-//                            (crashed, hung, partitioned) is excised: the
-//                            membership epoch bumps and the survivors
-//                            re-form a smaller ring.
-//   kGo     rank0 -> all     the ring spec (epoch + sorted live members
-//                            with ports); everyone establishes neighbor
-//                            links and runs the elastic ring allreduce on
-//                            a scratch copy of the flat gradients.
-//   kDone / kAbort           allreduce outcome. Any abort or death causes
-//                            excision of the dead, an epoch bump, and a
-//                            retry of the allreduce at the smaller world
-//                            (gradients re-normalized by the live world
-//                            size via the allreduce's 1/W averaging).
+// Steps. Every member of the ring loops compute -> ring allreduce ->
+// commit over ring links dialed once per membership epoch. The allreduce
+// is the step's only synchronisation: each ring frame carries the step,
+// the epoch, the losses its sender knows and rank 0's "meet on control
+// after this step" flag (elastic.h), and the wait for a neighbour's first
+// frame of a step is bounded by heartbeat_timeout_ms, so the ring is the
+// heartbeat. A member that completes the allreduce commits the average
+// and starts the next step. Rank 0 records each step's loss as the f64
+// mean of the members' losses, summed in rank order.
 //
-// Elasticity: a worker that connects at any step boundary (late start or
-// a previously-excised worker re-dialing) is admitted with a kSync
-// carrying the full model + Adam state from rank 0, and joins the next
-// plan. The coordinator applies its own pending commit BEFORE taking the
-// kSync snapshot (joiners skip the plan's commit flag, so the snapshot
-// must already be post-commit or the joiner diverges by one update).
-// Rank 0's death is fatal to the job by design.
+// Meetings. The control connections carry traffic only when rank 0 raises
+// the meet flag (the last step, or a joiner is waiting) or a ring fails:
 //
-// On the stop plan every worker answers with a kDigest of its final
-// parameter values + optimizer state (batch-norm running stats are
-// per-rank local and excluded); rank 0 compares them against its own and
-// reports mismatches in the status JSON — the replica-consistency
-// invariant is checked, not assumed.
+//   kReady  all -> rank0     the worker's committed step count. A worker
+//                            that does not report within
+//                            heartbeat_timeout_ms (crashed, hung,
+//                            partitioned) is excised.
+//   kSync   rank0 -> one     full model + Adam state + step count: admits
+//                            a joiner (a late start or an excised worker
+//                            re-dialing) and reconciles a survivor whose
+//                            step count differs from rank 0's.
+//   kGo     rank0 -> all     the step to run and the ring spec (a new
+//                            epoch after every meeting but the first), or
+//                            stop. Every member forms the ring and resumes.
+//   kDigest all -> rank0     on stop: the final state digest.
+//
+// Failures. A member whose ring exchange fails (EOF, a deadline, a frame
+// of the wrong step) closes its ring links at once, so each neighbour's
+// next recv fails at EOF and every member learns of the failure within one
+// hop per member, then reports. Rank 0 excises the non-reporters, bumps
+// the epoch, re-forms the ring and retries the step from the preserved
+// local gradients (averaging renormalises by the live world). A member
+// that finishes the allgather cannot know that its successor did, so
+// survivors may disagree by one committed step; every survivor whose count
+// differs from rank 0's takes rank 0's state by kSync (forward if it
+// missed the step, back if rank 0 did) and recomputes its gradients, so
+// the replicas never diverge and rank 0's committed losses and published
+// checkpoints are never rolled back. Rank 0's death is fatal to the job
+// by design.
+//
+// On stop every worker answers with a kDigest of its final parameter
+// values + optimizer state (batch-norm running stats are per-rank local
+// and excluded); rank 0 compares them against its own and reports
+// mismatches in the status JSON — the replica-consistency invariant is
+// checked, not assumed.
 //
 // The loop never touches wall-clock state beyond timeouts; all failure
 // modes are injectable through failpoints (common/failpoint.h):
-//   dist.worker_crash   _Exit(42) right before the kReady heartbeat
-//   dist.slow_worker    sleep `arg` ms before the heartbeat (excision +
-//                       rejoin path)
+//   dist.worker_crash   _Exit(42) after the local backward, before the
+//                       step's ring allreduce
+//   dist.slow_worker    sleep `arg` ms at the same point (a successor
+//                       waiting longer than the heartbeat fails the ring:
+//                       excision + rejoin path)
+//   dist.ring_crash     _Exit(42) before an allgather send (elastic.h)
 //   dist.conn_refused / dist.recv_timeout  (tcp_channel.h)
 //
 // Rank 0 periodically publishes an atomic checkpoint (core/checkpoint:
@@ -81,11 +93,14 @@ struct DistTrainConfig {
   optim::AdamConfig adam{.lr = 2e-3};
   std::uint64_t seed = 0;
 
-  /// Coordinator's per-phase collect deadline: a rank that has not
-  /// reported within this window is declared dead/slow and excised.
+  /// Liveness deadline: a member's wait for its ring predecessor's first
+  /// frame of a step (and for ring formation), and rank 0's wait for the
+  /// reports of a meeting. A rank that misses it is declared dead/slow and
+  /// excised.
   int heartbeat_timeout_ms = 3000;
-  /// Point-to-point send/recv deadline (also the ring allreduce stall
-  /// bound — a dead neighbor surfaces as a ChannelError within this).
+  /// Point-to-point send/recv deadline (also the bound on every ring
+  /// frame after a step's first — a dead neighbor surfaces as a
+  /// ChannelError within this).
   int io_timeout_ms = 4000;
   /// Rank 0's wait for the initial world to assemble.
   int join_timeout_ms = 8000;
@@ -104,19 +119,25 @@ struct DistTrainConfig {
 
 struct DistTrainResult {
   /// Rank 0: mean live-rank loss per committed step. Workers: local loss
-  /// per computed step.
+  /// of each step they committed.
   std::vector<double> step_loss;
   int final_world = 1;
   std::uint32_t final_epoch = 0;
   /// Ranks excised by the coordinator (rank 0 only).
   std::vector<int> excised_ranks;
-  /// Measured detection latency (ms) for each excision, heartbeat-phase
-  /// collect start -> excision decision. Bounded by heartbeat_timeout_ms
-  /// plus one io timeout by construction.
+  /// Measured detection latency (ms) for each excision: from rank 0
+  /// starting its last wait on the ring (a step's allreduce or the ring
+  /// formation) to the excision decision. Bounded by the ring's failure
+  /// detection (EOF, or heartbeat_timeout_ms for a first frame and one io
+  /// timeout per later frame) plus the meeting's heartbeat_timeout_ms.
   std::vector<double> detect_ms;
   int joins = 0;       ///< kSync admissions performed (rank 0)
   int rejoins = 0;     ///< times this worker re-dialed after excision
-  int retries = 0;     ///< allreduce retries after an abort/death
+  int retries = 0;     ///< meetings that recovered from a ring failure
+  /// Rank 0: meetings on the control connections, the job's start and
+  /// stop included. A fault-free job without joiners holds 2, however
+  /// many steps it runs.
+  int meetings = 0;
   int checkpoints_published = 0;
   /// Rank 0: workers whose end-of-job state digest (parameters + Adam
   /// state) differed from rank 0's. Must be 0 — any nonzero value means

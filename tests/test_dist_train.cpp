@@ -3,9 +3,11 @@
 // two-process smoke run, the crash drill (1 of 3 workers killed
 // mid-training by a fail point; survivors must excise it, re-form the
 // ring, and keep converging) with a co-running InferenceEngine
-// hot-swapping the published checkpoints mid-traffic, the slow-worker
-// excision + elastic rejoin path, a partition drill (injected recv
-// timeouts), and a late joiner admitted after training already started.
+// hot-swapping the published checkpoints mid-traffic, a crash inside the
+// allgather (survivors that did and did not commit the step must be
+// reconciled), the slow-worker excision + elastic rejoin path, a
+// partition drill (injected recv timeouts), and a late joiner admitted
+// after training already started.
 //
 // Every scenario runs real processes over real loopback TCP; fault
 // injection reaches the children through MFN_FAILPOINTS (either the
@@ -134,6 +136,10 @@ TEST(DistTrain, TwoProcessSmokeConvergesAndPublishes) {
   const std::string json = slurp(status);
   EXPECT_EQ(num_field(json, "final_world"), 2);
   EXPECT_EQ(num_field(json, "digest_mismatch"), 0);
+  // The ring allreduce is the step barrier: a fault-free job meets on the
+  // control connections only to start and to stop.
+  EXPECT_EQ(num_field(json, "meetings"), 2);
+  EXPECT_EQ(num_field(json, "retries"), 0);
   const std::vector<double> losses = vec_field(json, "losses");
   ASSERT_EQ(losses.size(), 6u);
   EXPECT_LT(losses.back(), losses.front());
@@ -270,6 +276,45 @@ TEST(DistTrain, CrashedWorkerExcisedSurvivorsConvergeWhileServing) {
   std::remove(status.c_str());
   std::remove(ckpt.c_str());
 }
+
+// Mid-allgather crash: the victim dies right before its second (last)
+// allgather send of step 4 (dist.ring_crash polls twice per step at world
+// 3). Its ring predecessor has then received every chunk and commits step
+// 4; its successor's last recv fails and it does not. Victim 1 leaves rank
+// 0 one commit ahead of rank 2, victim 2 leaves rank 1 one commit ahead of
+// rank 0. Either way the survivors must end on one state (digest), retry
+// the step at world 2 and commit every step exactly once (losses).
+class MidAllgatherCrash : public ::testing::TestWithParam<int> {};
+
+TEST_P(MidAllgatherCrash, SurvivorsReconcileAndConverge) {
+  const int victim = GetParam();
+  const std::string status = temp_path(
+      ("dist_allgather_" + std::to_string(victim) + "_status.json").c_str());
+  std::remove(status.c_str());
+
+  const int rc = run_dist_train(
+      "--world 3 --steps 20 --status " + status + " --inject-rank " +
+      std::to_string(victim) + " --inject dist.ring_crash=skip:9,count:1");
+  ASSERT_EQ(rc, 0);
+
+  const std::string json = slurp(status);
+  EXPECT_EQ(num_field(json, "digest_mismatch"), 0);
+  const std::vector<double> excised = vec_field(json, "excised");
+  ASSERT_EQ(excised.size(), 1u);
+  EXPECT_EQ(excised[0], victim);
+  EXPECT_EQ(num_field(json, "final_world"), 2);
+  EXPECT_GE(num_field(json, "retries"), 1);
+  const std::vector<double> losses = vec_field(json, "losses");
+  ASSERT_EQ(losses.size(), 20u);
+  EXPECT_LT(mean_of(losses, losses.size() - 5, 5), mean_of(losses, 0, 5));
+
+  std::remove(status.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Victims, MidAllgatherCrash, ::testing::Values(1, 2),
+                         [](const auto& info) {
+                           return "rank" + std::to_string(info.param);
+                         });
 
 // Slow-worker drill: rank 1 stalls 900 ms (>> heartbeat) on one step. The
 // coordinator must excise it near the heartbeat deadline and carry on at

@@ -2,9 +2,11 @@
 // bounds checking, idle-vs-broken recv semantics, dial backoff through
 // the dist.conn_refused / dist.recv_timeout fail points, ring formation
 // over real loopback sockets, allreduce correctness across world sizes,
-// and the shrink-determinism contract (a ring that lost a member
-// produces bitwise the same average as a fresh ring of the surviving
-// size).
+// the shrink-determinism contract (a ring that lost a member produces
+// bitwise the same average as a fresh ring of the surviving size), and
+// the kept-link contract of the step barrier (links dialed once per epoch
+// give the same bits as fresh rings, carry every member's loss and the
+// meet flag, and reject a frame of another step before summing it).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -331,6 +333,104 @@ TEST_F(TcpChannelTest, ReEstablishAtNewEpochAfterDrop) {
   EXPECT_EQ(std::memcmp(bufs[0].data(), bufs[1].data(),
                         static_cast<std::size_t>(n) * sizeof(float)),
             0);
+}
+
+TEST_F(TcpChannelTest, KeptLinksMatchFreshRingsBitwise) {
+  // The training loop dials its ring once per epoch and runs every step's
+  // allreduce over the kept links. K steps that way must give bitwise the
+  // K results of K freshly dialed rings, and every member must learn every
+  // member's loss and the meet flag rank 0 raised on one step.
+  const int K = 4;
+  const std::int64_t n = 1001;
+  const std::vector<int> ranks = {0, 1, 2};
+  auto input = [n](int rank, int k) { return rank_data(rank * 10 + k, n); };
+  auto stamp = [](int rank, int k) {
+    StepStamp st;
+    st.step = static_cast<std::uint64_t>(k);
+    st.loss = rank + 0.25 * k;
+    st.meet = rank == 0 && k == 2;
+    return st;
+  };
+
+  std::vector<std::vector<std::vector<float>>> kept(3), fresh(3);
+  std::vector<std::vector<StepOutcome>> outcomes(3);
+  {
+    std::vector<std::unique_ptr<TcpChannel>> channels;
+    const Ring ring = make_ring(channels, ranks, 1);
+    run_ring(channels, [&](std::size_t i) {
+      establish_ring(*channels[i], ring, 4000);
+      for (int k = 0; k < K; ++k) {
+        std::vector<float> buf = input(ranks[i], k);
+        outcomes[i].push_back(ring_allreduce_average(
+            *channels[i], ring, buf.data(), n, 4000, stamp(ranks[i], k)));
+        kept[i].push_back(std::move(buf));
+      }
+    });
+  }
+  for (int k = 0; k < K; ++k) {
+    std::vector<std::unique_ptr<TcpChannel>> channels;
+    const Ring ring =
+        make_ring(channels, ranks, static_cast<std::uint32_t>(k + 1));
+    run_ring(channels, [&](std::size_t i) {
+      establish_ring(*channels[i], ring, 4000);
+      std::vector<float> buf = input(ranks[i], k);
+      ring_allreduce_average(*channels[i], ring, buf.data(), n, 4000,
+                             stamp(ranks[i], k));
+      fresh[i].push_back(std::move(buf));
+    });
+  }
+
+  for (std::size_t i = 0; i < 3; ++i)
+    for (int k = 0; k < K; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      EXPECT_EQ(std::memcmp(kept[i][ku].data(), fresh[i][ku].data(),
+                            static_cast<std::size_t>(n) * sizeof(float)),
+                0)
+          << "member " << i << " step " << k;
+      const StepOutcome& out = outcomes[i][ku];
+      EXPECT_EQ(out.meet, k == 2) << "member " << i << " step " << k;
+      ASSERT_EQ(out.losses.size(), 3u);
+      for (std::size_t p = 0; p < 3; ++p)
+        EXPECT_EQ(out.losses[p], stamp(ranks[p], k).loss)
+            << "member " << i << " step " << k << " position " << p;
+    }
+}
+
+TEST_F(TcpChannelTest, OlderStepOnKeptLinkIsRejectedNotSummed) {
+  // Two members whose step counters disagree on kept links: rank 0 is at
+  // step 2 and receives rank 1's frame of step 1. The frame must be
+  // rejected with ChannelError before anything is summed into the buffer
+  // (and rank 1 rejects rank 0's frame of a step it is not running).
+  const std::int64_t n = 64;
+  std::vector<std::unique_ptr<TcpChannel>> channels;
+  const Ring ring = make_ring(channels, {0, 1}, 1);
+  std::vector<std::vector<float>> bufs = {rank_data(0, n), rank_data(1, n)};
+  run_ring(channels, [&](std::size_t i) {
+    establish_ring(*channels[i], ring, 4000);
+    StepStamp st;
+    st.step = 0;
+    ring_allreduce_average(*channels[i], ring, bufs[i].data(), n, 4000, st);
+  });
+
+  const std::vector<std::vector<float>> before = bufs;
+  std::vector<int> rejected(2, 0);  // not vector<bool>: written per thread
+  run_ring(channels, [&](std::size_t i) {
+    StepStamp st;
+    st.step = i == 0 ? 2 : 1;
+    try {
+      ring_allreduce_average(*channels[i], ring, bufs[i].data(), n, 4000,
+                             st);
+    } catch (const ChannelError&) {
+      rejected[i] = 1;
+    }
+  });
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(rejected[i], 1) << "member " << i;
+    EXPECT_EQ(std::memcmp(bufs[i].data(), before[i].data(),
+                          static_cast<std::size_t>(n) * sizeof(float)),
+              0)
+        << "member " << i << " summed a frame of another step";
+  }
 }
 
 TEST_F(TcpChannelTest, DeadNeighborSurfacesAsChannelError) {
