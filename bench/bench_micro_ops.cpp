@@ -271,6 +271,26 @@ void emit_perf_json() {
   const int threads = ThreadPool::global().size();
   std::printf("{\"mfn_perf\":\"simd\",\"tier\":\"%s\",\"width\":%d}\n",
               simd::active_tier(), simd::kWidth);
+  // Pool dispatch: the wall time of an empty parallel_for, back to back,
+  // which is what a kernel pays before any of its work runs.
+  for (const std::int64_t n : {4, 16, 64}) {
+    const int calls = 20000;
+    std::vector<double> us(calls);
+    for (int i = 0; i < calls; ++i) {
+      Stopwatch sw;
+      parallel_for(n, [](std::int64_t b, std::int64_t e) {
+        benchmark::DoNotOptimize(b);
+        benchmark::DoNotOptimize(e);
+      });
+      us[static_cast<std::size_t>(i)] = sw.seconds() * 1e6;
+    }
+    std::sort(us.begin(), us.end());
+    std::printf(
+        "{\"mfn_perf\":\"pool_dispatch\",\"n\":%lld,\"threads\":%d,"
+        "\"p50_us\":%.2f,\"p99_us\":%.2f}\n",
+        static_cast<long long>(n), threads, us[calls / 2],
+        us[calls * 99 / 100]);
+  }
   {
     // GEMM: square matmul at a training-representative size.
     const std::int64_t n = 384;

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <vector>
 
 #include "backend/simd.h"
@@ -41,14 +40,12 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
              0;
 }
 
-// fn() run inside a pool worker, where a nested parallel_for runs
-// serially: the 1-thread result the pooled run must reproduce.
+// fn() with every parallel_for run inline: the 1-thread result the pooled
+// run must reproduce.
 template <class F>
-auto run_in_pool_worker(F&& fn) {
-  std::promise<decltype(fn())> out;
-  auto fut = out.get_future();
-  ThreadPool::global().submit([&] { out.set_value(fn()); });
-  return fut.get();
+auto run_serially(F&& fn) {
+  ScopedInlineLoops serial;
+  return fn();
 }
 
 // Flip the runtime dispatch seam for the duration of a scope.
@@ -191,7 +188,7 @@ TEST(ConvImplicit, FusedEpilogueMatchesUnfusedChain) {
 // The weight and bias gradients sum over the batch. Keyed by sample and
 // summed in sample order, they do not depend on how the pool's dynamic
 // chunk schedule spread the samples over workers.
-TEST(ConvImplicit, SerialBackwardInPoolWorkerIsBitwisePooledBackward) {
+TEST(ConvImplicit, SerialBackwardIsBitwisePooledBackward) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
   Rng rng(21);
   Tensor x = Tensor::randn(Shape{8, 6, 4, 8, 16}, rng);
@@ -199,7 +196,7 @@ TEST(ConvImplicit, SerialBackwardInPoolWorkerIsBitwisePooledBackward) {
   Conv3dSpec spec;  // 3x3x3 stride 1 pad 1
   Tensor gy = Tensor::randn(conv3d_output_shape(x.shape(), w.shape(), spec),
                             rng);
-  const Conv3dGrads serial = run_in_pool_worker(
+  const Conv3dGrads serial = run_serially(
       [&] { return conv3d_backward(x, w, /*had_bias=*/true, spec, gy); });
   for (int rep = 0; rep < 3; ++rep) {
     const Conv3dGrads pooled = conv3d_backward(x, w, true, spec, gy);
@@ -213,7 +210,7 @@ TEST(ConvImplicit, SerialBackwardInPoolWorkerIsBitwisePooledBackward) {
 // One physics-constrained training step (encoder, derivative bundle,
 // equation loss) and its backward: every parameter gradient of a pooled
 // run equals the serial run's bit for bit.
-TEST(ConvImplicit, SerialTrainingStepInPoolWorkerIsBitwisePooledStep) {
+TEST(ConvImplicit, SerialTrainingStepIsBitwisePooledStep) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
   Rng rng(22);
   core::MeshfreeFlowNet model(core::MFNConfig::small_default(), rng);
@@ -241,7 +238,7 @@ TEST(ConvImplicit, SerialTrainingStepInPoolWorkerIsBitwisePooledStep) {
     for (const ad::Var* p : params) grads.push_back(p->grad().clone());
     return grads;
   };
-  const std::vector<Tensor> serial = run_in_pool_worker(step);
+  const std::vector<Tensor> serial = run_serially(step);
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<Tensor> pooled = step();
     ASSERT_EQ(pooled.size(), serial.size());

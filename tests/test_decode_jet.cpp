@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -472,10 +471,10 @@ TEST(DecodeJet, ValueOnlyMatchesBundleValueMember) {
   }
 }
 
-// A nested parallel_for runs serially, so a run inside a pool worker is a
+// Under ScopedInlineLoops every parallel_for runs inline, so the run is a
 // 1-thread pool; the pooled run fans its blocks out over the pool. Both
 // nodes, the bundle and the value pass.
-TEST(DecodeJet, SerialRunInPoolWorkerIsBitwisePooledRun) {
+TEST(DecodeJet, SerialRunIsBitwisePooledRun) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
   for (const Path path : {Path::kBundle, Path::kValue})
     for (nn::Activation act :
@@ -490,12 +489,10 @@ TEST(DecodeJet, SerialRunInPoolWorkerIsBitwisePooledRun) {
       const Tensor coords = make_coords(rng, 4, 384);
       const std::array<Tensor, 6> r = loss_weights(rng, 4 * 384);
 
-      std::promise<BundleRun> serial_out;
-      std::future<BundleRun> fut = serial_out.get_future();
-      ThreadPool::global().submit([&] {
-        serial_out.set_value(run_decode(dec, latent, coords, r, path));
-      });
-      const BundleRun serial = fut.get();
+      const BundleRun serial = [&] {
+        ScopedInlineLoops inline_loops;
+        return run_decode(dec, latent, coords, r, path);
+      }();
       const BundleRun pooled = run_decode(dec, latent, coords, r, path);
       for (std::size_t m = 0; m < serial.members.size(); ++m)
         EXPECT_TRUE(bitwise_equal(serial.members[m], pooled.members[m]))

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -183,9 +182,8 @@ TEST(DecodePlan, MatchesTapeAcrossShapes) {
 }
 
 // Replay must be bit-identical whatever MFN_NUM_THREADS is: the serial
-// side runs inside a pool worker (nested parallel_for takes its serial
-// path — computationally a 1-thread pool), the parallel side fans out
-// across the 4-thread pool this binary pins.
+// side runs every parallel_for inline (computationally a 1-thread pool),
+// the parallel side fans out across the 4-thread pool this binary pins.
 TEST(DecodePlan, ReplayBitIdenticalAcrossThreadCounts) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
   auto model = make_model(131);
@@ -197,11 +195,10 @@ TEST(DecodePlan, ReplayBitIdenticalAcrossThreadCounts) {
       snap, core::PlanKey{1, 2, 700, kLT, kLZ, kLX});
   ASSERT_NE(plan, nullptr);
 
-  std::promise<Tensor> serial_out;
-  std::future<Tensor> fut = serial_out.get_future();
-  ThreadPool::global().submit(
-      [&] { serial_out.set_value(plan->execute(latent, coords)); });
-  const Tensor serial = fut.get();
+  const Tensor serial = [&] {
+    ScopedInlineLoops inline_loops;
+    return plan->execute(latent, coords);
+  }();
   const Tensor parallel = plan->execute(latent, coords);
   expect_bitwise_equal(serial, parallel, "serial vs pooled replay");
 }

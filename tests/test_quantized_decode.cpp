@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -196,15 +195,13 @@ TEST_P(QuantizedParity, ReplayBitIdenticalAcrossThreadCounts) {
       snap, core::PlanKey{1, 2, 700, kLT, kLZ, kLX, prec});
   ASSERT_NE(plan, nullptr);
 
-  // Serial side: inside a pool worker the nested parallel_for serializes
-  // (computationally a 1-thread pool); parallel side fans out across the
-  // 4-thread pool. The reduced tiers pin the same bitwise thread-count
+  // Serial side: every parallel_for runs inline (computationally a
+  // 1-thread pool); parallel side fans out across the 4-thread pool. The reduced tiers pin the same bitwise thread-count
   // invariance as fp32 — only the tape comparison is tolerance-based.
-  std::promise<Tensor> serial_out;
-  std::future<Tensor> fut = serial_out.get_future();
-  ThreadPool::global().submit(
-      [&] { serial_out.set_value(plan->execute(latent, coords)); });
-  const Tensor serial = fut.get();
+  const Tensor serial = [&] {
+    ScopedInlineLoops inline_loops;
+    return plan->execute(latent, coords);
+  }();
   const Tensor parallel = plan->execute(latent, coords);
   expect_bitwise_equal(serial, parallel, "serial vs pooled replay");
 }

@@ -416,19 +416,20 @@ TEST(QueryBatcher, WindowEndsBeforeAQueuedDeadline) {
   const Tensor patch = make_patch(rng);
   engine.prewarm(1, patch);
   {
-    // A full batch skips the window. Slowing its decode to 40 ms sets the
-    // per-row estimate so the window below closes 20 ms before the
-    // deadline: 10 ms of that is slack for the worker's wakeup, which a
-    // loaded host must not eat.
+    // A full batch skips the window. Slowing its decode to 200 ms sets the
+    // per-row estimate so the 16-row decode below is estimated at 50 ms,
+    // and the window closes two estimates (100 ms) before the 250 ms
+    // deadline: 50 ms of that is slack for the worker's wakeup, which a
+    // host loaded by parallel suites must not eat.
     failpoint::Spec slow;
-    slow.arg = 40.0;
+    slow.arg = 200.0;
     failpoint::ScopedFail inject("serve.slow_decode", slow);
     (void)engine.query_sync(1, patch, make_coords(rng, 64));
   }
   const auto t0 = std::chrono::steady_clock::now();
   std::future<Tensor> fut =
       engine.query(1, patch, make_coords(rng, 16), std::nullopt,
-                   t0 + std::chrono::milliseconds(50));
+                   t0 + std::chrono::milliseconds(250));
   EXPECT_NO_THROW(fut.get());
   EXPECT_LT(ms_since(t0), 500.0);
   const auto s = engine.batcher_stats();
@@ -562,10 +563,10 @@ TEST(Serve, ReloadFromCheckpointServesNewWeights) {
 
 // Serve output must be bit-identical whatever MFN_NUM_THREADS is. The pool
 // is a process-wide singleton, so the serial side of the comparison runs
-// the same computation from inside a pool worker, where every parallel_for
-// (decode block carving, conv batch loops, corner fills) takes its serial
-// path — computationally identical to a 1-thread pool — while the engine
-// side fans out across the 4-thread pool this binary pins.
+// the same computation under ScopedInlineLoops, where every parallel_for
+// (decode block carving, conv batch loops, corner fills) runs inline —
+// computationally identical to a 1-thread pool — while the engine side
+// fans out across the 4-thread pool this binary pins.
 TEST(Serve, OutputBitIdenticalAcrossThreadCounts) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
   auto model = make_model(51);
@@ -575,13 +576,11 @@ TEST(Serve, OutputBitIdenticalAcrossThreadCounts) {
   // Enough queries that decode spans several 256-query blocks.
   const Tensor coords = make_coords(rng, 700);
 
-  std::promise<Tensor> serial_out;
-  std::future<Tensor> fut = serial_out.get_future();
-  ThreadPool::global().submit([&] {
+  const Tensor serial = [&] {
+    ScopedInlineLoops inline_loops;
     ad::NoGradGuard no_grad;
-    serial_out.set_value(raw->predict(patch, coords).value());
-  });
-  const Tensor serial = fut.get();
+    return raw->predict(patch, coords).value();
+  }();
 
   serve::InferenceEngineConfig ecfg;
   ecfg.batcher.max_wait_us = 0;  // one request per flush: no coalescing
