@@ -413,6 +413,58 @@ void emit_perf_json() {
         sec_f, sec_u, sec_u / sec_f, saved_bytes / sec_f / 1e9);
   }
   {
+    // conv3d backward against its forward at each distinct conv of the
+    // small_default U-Net, batch 4: its pointwise and 3x3x3 convs at the
+    // 4x8x8, 4x4x4 and 2x2x2 levels. The backward's dW and dX products
+    // each do the forward's FLOPs. Forward and backward calls alternate;
+    // each reports its median.
+    struct ConvShape {
+      std::int64_t C, F, K, D, H, W;
+    };
+    const ConvShape shapes[] = {
+        {4, 4, 1, 4, 8, 8},   {4, 4, 3, 4, 8, 8},   {4, 8, 1, 4, 8, 8},
+        {24, 4, 1, 4, 8, 8},  {24, 8, 1, 4, 8, 8},  {8, 16, 1, 4, 8, 8},
+        {8, 8, 1, 4, 4, 4},   {8, 8, 3, 4, 4, 4},   {8, 16, 1, 4, 4, 4},
+        {48, 8, 1, 4, 4, 4},  {48, 16, 1, 4, 4, 4}, {16, 16, 1, 2, 2, 2},
+        {16, 16, 3, 2, 2, 2}, {16, 32, 1, 2, 2, 2}};
+    const std::int64_t N = 4;
+    const int reps = 41;
+    for (const ConvShape& s : shapes) {
+      Rng rng(26);
+      Tensor x = Tensor::randn(Shape{N, s.C, s.D, s.H, s.W}, rng);
+      Tensor w = Tensor::randn(Shape{s.F, s.C, s.K, s.K, s.K}, rng, 0.3f);
+      Conv3dSpec spec;
+      spec.kernel = {s.K, s.K, s.K};
+      spec.padding = {s.K / 2, s.K / 2, s.K / 2};
+      const Shape out = conv3d_output_shape(x.shape(), w.shape(), spec);
+      Tensor gy = Tensor::randn(out, rng);
+      std::vector<double> fwd(reps), bwd(reps);
+      for (int r = 0; r < reps; ++r) {
+        Stopwatch sw;
+        benchmark::DoNotOptimize(conv3d_forward(x, w, Tensor(), spec));
+        fwd[static_cast<std::size_t>(r)] = sw.seconds();
+        Stopwatch sw2;
+        benchmark::DoNotOptimize(conv3d_backward(x, w, false, spec, gy));
+        bwd[static_cast<std::size_t>(r)] = sw2.seconds();
+      }
+      std::sort(fwd.begin(), fwd.end());
+      std::sort(bwd.begin(), bwd.end());
+      const double sec_f = fwd[reps / 2], sec_b = bwd[reps / 2];
+      const double flops = 2.0 * static_cast<double>(out.numel()) *
+                           static_cast<double>(s.C * s.K * s.K * s.K);
+      std::printf(
+          "{\"mfn_perf\":\"conv3d_bwd\",\"batch\":%lld,\"channels\":%lld,"
+          "\"filters\":%lld,\"kernel\":%lld,\"volume\":\"%lldx%lldx%lld\","
+          "\"threads\":%d,\"gflops\":%.3f,\"fwd_gflops\":%.3f,"
+          "\"bwd_over_fwd\":%.2f}\n",
+          static_cast<long long>(N), static_cast<long long>(s.C),
+          static_cast<long long>(s.F), static_cast<long long>(s.K),
+          static_cast<long long>(s.D), static_cast<long long>(s.H),
+          static_cast<long long>(s.W), threads, 2.0 * flops / sec_b / 1e9,
+          flops / sec_f / 1e9, sec_b / sec_f);
+    }
+  }
+  {
     // Batched continuous-query pipeline: decoder decode, end-to-end
     // predict, and predict_with_derivatives throughput (queries/sec) at
     // batch 1 and batch 8. The batch-8 predict/derivs lines also report

@@ -515,6 +515,85 @@ inline void micro_kernel_direct_b(std::int64_t K, const float* ap,
                                          ep);
 }
 
+#if MFN_SIMD_HAS_VECTOR
+
+// Dot kernel for A·Bᵀ with both operands contiguous along K (conv3d's
+// weight gradient gy_n · col_nᵀ, K = the output voxel count): each output
+// of a kDMR x kDNR block owns one vector accumulator that sums its K
+// products lane-wise, and simd::vfold_block reduces the block's kWidth
+// accumulators into one vector of kWidth sums. No operand is packed or
+// transposed.
+constexpr int kDMR = sv::kWidth >= 16 ? 4 : 2;
+constexpr int kDNR = sv::kWidth / kDMR;  // 4x4 avx512, 2x4 avx2, 2x2 sse2
+
+// One block's kWidth sums into out[r * kDNR + c]: a[r] and b[c] are the
+// K-long rows of output (r, c), whose lane partials acc[r * kDNR + c]
+// holds. Full vectors first, then one masked tail.
+inline void dot_block(std::int64_t K, const float* const* a,
+                      const float* const* b, float* out) {
+  sv::VF acc[kDMR * kDNR];
+  for (int x = 0; x < kDMR * kDNR; ++x) acc[x] = sv::vzero();
+  auto step = [&](const sv::VF* av, const sv::VF* bv) {
+    for (int c = 0; c < kDNR; ++c)
+      for (int r = 0; r < kDMR; ++r)
+        acc[r * kDNR + c] = sv::vfma(av[r], bv[c], acc[r * kDNR + c]);
+  };
+  sv::VF av[kDMR], bv[kDNR];
+  std::int64_t k = 0;
+  for (; k + sv::kWidth <= K; k += sv::kWidth) {
+    for (int r = 0; r < kDMR; ++r) av[r] = sv::vloadu(a[r] + k);
+    for (int c = 0; c < kDNR; ++c) bv[c] = sv::vloadu(b[c] + k);
+    step(av, bv);
+  }
+  if (k < K) {
+    const int n = static_cast<int>(K - k);
+    for (int r = 0; r < kDMR; ++r) av[r] = sv::vload_partial(a[r] + k, n);
+    for (int c = 0; c < kDNR; ++c) bv[c] = sv::vload_partial(b[c] + k, n);
+    step(av, bv);
+  }
+  sv::vstoreu(out, sv::vfold_block(acc));
+}
+
+// C = alpha * A·Bᵀ + beta * C (then the epilogue) with A (M,K) and B
+// (N,K). Blocks past the last row of A or B repeat that row and drop its
+// outputs, so each output runs the same instructions wherever it sits; a
+// column block's outputs depend on nothing else, so splitting the column
+// blocks over the pool leaves the bits as they are.
+void gemm_dot_nt(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
+                 const float* A, const float* B, float beta, float* C,
+                 const Epilogue& ep) {
+  const std::int64_t mblocks = (M + kDMR - 1) / kDMR;
+  const std::int64_t nblocks = (N + kDNR - 1) / kDNR;
+  const std::int64_t block_flops = mblocks * kDMR * kDNR * K;
+  parallel_for(
+      nblocks,
+      [&](std::int64_t s0, std::int64_t s1) {
+        alignas(64) float sums[kDMR * kDNR];
+        const float* a[kDMR];
+        const float* b[kDNR];
+        for (std::int64_t s = s0; s < s1; ++s) {
+          const std::int64_t j = s * kDNR;
+          const int nr = static_cast<int>(std::min<std::int64_t>(kDNR, N - j));
+          for (int c = 0; c < kDNR; ++c)
+            b[c] = B + std::min<std::int64_t>(j + c, N - 1) * K;
+          for (std::int64_t i = 0; i < M; i += kDMR) {
+            const int mr =
+                static_cast<int>(std::min<std::int64_t>(kDMR, M - i));
+            for (int r = 0; r < kDMR; ++r)
+              a[r] = A + std::min<std::int64_t>(i + r, M - 1) * K;
+            dot_block(K, a, b, sums);
+            if (alpha != 1.0f)
+              for (float& v : sums) v *= alpha;
+            write_tile<kDMR, kDNR>(sums, C + i * N + j, N, mr, nr, beta,
+                                   tile_ep(ep, i, j));
+          }
+        }
+      },
+      /*grain=*/std::max<std::int64_t>(1, kSmallFlops / block_flops));
+}
+
+#endif  // MFN_SIMD_HAS_VECTOR
+
 // Short-M products (conv3d's F x L GEMMs: a handful of row panels over a
 // wide N) reuse a packed B panel so little that packing costs more than it
 // saves. Read B in place instead; the whole K-extent stays in the register
@@ -563,6 +642,17 @@ void sgemm_impl(Trans transa, Trans transb, std::int64_t M, std::int64_t N,
     apply_epilogue(C, M, N, ep);
     return;
   }
+#if MFN_SIMD_HAS_VECTOR
+  // Short M: conv3d's weight gradients on every tier. Small products: the
+  // same gradients where F exceeds 2 * kMR on the narrower tiers (the
+  // small_default U-Net's F = 16 and 32 convs on avx2 and sse2), which
+  // would otherwise run small_gemm's serial-k chain.
+  if (transa == Trans::kNo && transb == Trans::kYes && K >= simd::kWidth &&
+      (M <= 2 * kMR || M * N * K <= kSmallFlops) && simd::enabled()) {
+    gemm_dot_nt(M, N, K, alpha, A, B, beta, C, ep);
+    return;
+  }
+#endif
   if (M * N * K <= kSmallFlops) {
     small_gemm(sa, transb, M, N, K, alpha, A, B, beta, C, ep);
     return;

@@ -23,6 +23,19 @@
 // workspace, so concurrent calls from pool workers are race-free and
 // allocation-free in steady state. Nested calls (e.g. from inside a
 // parallelized conv3d batch loop) automatically run serially.
+//
+// A·Bᵀ products (transa == kNo, transb == kYes: both operands contiguous
+// along K) with K >= simd::kWidth and either M*N*K <= 32768 or M <= twice
+// the microkernel's row count (16 on avx512, 12 on avx2, 8 on sse2) run a
+// dot kernel instead: each output of a small register block sums its K
+// products in vector lanes, with a masked tail, and the block's lanes are
+// reduced once by simd::vfold_block. conv3d's weight gradients
+// (gy_n · col_nᵀ, K = output voxels) are these products. Each output is
+// summed by one thread in a fixed order, so an un-nested call may split
+// the column blocks over the pool without changing a bit. Larger-M A·Bᵀ
+// products keep the packed path. With simd::enabled() false, small
+// products keep the direct loops' serial-k fmaf chain: the scalar oracle
+// the dot kernel is tested against.
 #pragma once
 
 #include <cstdint>

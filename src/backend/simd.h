@@ -197,6 +197,49 @@ inline float vhmax(VF a) {
   return m;
 }
 
+/// Horizontal sums of kWidth vectors at once: lane i of the result is the
+/// sum of acc[i]'s lanes. A shuffle tree halves every vector per level
+/// (lane l plus lane l + kWidth / 2, then + kWidth / 4, ..., + 1), so each
+/// sum is added in the same order whichever acc[i] it comes from. The
+/// 512-bit shuffles use the maskz_ forms with a full mask (GCC PR105593,
+/// as above).
+inline VF vfold_block(const VF* acc) {
+  constexpr __mmask16 all16 = 0xFFFF;
+  constexpr __mmask8 all8 = 0xFF;
+  // [a.lo256 + a.hi256, b.lo256 + b.hi256]
+  auto halves = [](__m512 a, __m512 b) {
+    return _mm512_add_ps(
+        _mm512_maskz_shuffle_f32x4(all16, a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm512_maskz_shuffle_f32x4(all16, a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+  };
+  // Two halves() results into the four 128-bit partials they hold.
+  auto quarters = [](__m512 a, __m512 b) {
+    return _mm512_add_ps(
+        _mm512_maskz_shuffle_f32x4(all16, a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm512_maskz_shuffle_f32x4(all16, a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  };
+  // Per 128-bit block: [a.lo64 + a.hi64, b.lo64 + b.hi64]
+  auto pairs = [](__m512 a, __m512 b) {
+    const __m512d x = _mm512_castps_pd(a), y = _mm512_castps_pd(b);
+    return _mm512_add_ps(
+        _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(all8, x, y)),
+        _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(all8, x, y)));
+  };
+  // Per 128-bit block: [a0 + a1, a2 + a3, b0 + b1, b2 + b3]
+  auto lanes = [](__m512 a, __m512 b) {
+    return _mm512_add_ps(_mm512_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                         _mm512_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  };
+  // x[t]'s 128-bit blocks hold the partials of acc[t], acc[4 + t],
+  // acc[8 + t], acc[12 + t]; block j of the result then holds
+  // acc[4j .. 4j + 3].
+  __m512 x[4];
+  for (int t = 0; t < 4; ++t)
+    x[t] = quarters(halves(acc[t].v, acc[4 + t].v),
+                    halves(acc[8 + t].v, acc[12 + t].v));
+  return {lanes(pairs(x[0], x[1]), pairs(x[2], x[3]))};
+}
+
 /// Load kWidth bf16 values (fp32 truncated to the upper 16 mantissa/exp
 /// bits) and widen to fp32: zero-extend to 32 bits, shift into the high
 /// half. Exact — bf16 -> fp32 is lossless.
@@ -350,6 +393,27 @@ inline float vhmax(VF a) {
   return _mm_cvtss_f32(s);
 }
 
+inline VF vfold_block(const VF* acc) {
+  // [a.lo128 + a.hi128, b.lo128 + b.hi128]
+  auto halves = [](__m256 a, __m256 b) {
+    return _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                         _mm256_permute2f128_ps(a, b, 0x31));
+  };
+  auto pairs = [](__m256 a, __m256 b) {
+    const __m256d x = _mm256_castps_pd(a), y = _mm256_castps_pd(b);
+    return _mm256_add_ps(_mm256_castpd_ps(_mm256_unpacklo_pd(x, y)),
+                         _mm256_castpd_ps(_mm256_unpackhi_pd(x, y)));
+  };
+  auto lanes = [](__m256 a, __m256 b) {
+    return _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                         _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  };
+  // w[t]'s 128-bit blocks hold the partials of acc[t] and acc[4 + t].
+  __m256 w[4];
+  for (int t = 0; t < 4; ++t) w[t] = halves(acc[t].v, acc[4 + t].v);
+  return {lanes(pairs(w[0], w[1]), pairs(w[2], w[3]))};
+}
+
 /// Load kWidth bf16 values and widen to fp32 (exact).
 inline VF vload_bf16(const std::uint16_t* p) {
   const __m256i w = _mm256_cvtepu16_epi32(
@@ -468,6 +532,20 @@ inline float vhmax(VF a) {
   return _mm_cvtss_f32(s);
 }
 
+inline VF vfold_block(const VF* acc) {
+  // [a0 + a2, a1 + a3, b0 + b2, b1 + b3]
+  auto pairs = [](__m128 a, __m128 b) {
+    const __m128d x = _mm_castps_pd(a), y = _mm_castps_pd(b);
+    return _mm_add_ps(_mm_castpd_ps(_mm_unpacklo_pd(x, y)),
+                      _mm_castpd_ps(_mm_unpackhi_pd(x, y)));
+  };
+  auto lanes = [](__m128 a, __m128 b) {
+    return _mm_add_ps(_mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                      _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  };
+  return {lanes(pairs(acc[0].v, acc[1].v), pairs(acc[2].v, acc[3].v))};
+}
+
 /// Load kWidth bf16 values and widen to fp32 (exact): interleave a zero
 /// low half under each 16-bit pattern.
 inline VF vload_bf16(const std::uint16_t* p) {
@@ -568,6 +646,7 @@ inline VI vcasti(VF a) {
 
 inline float vhsum(VF a) { return a.v; }
 inline float vhmax(VF a) { return a.v; }
+inline VF vfold_block(const VF* acc) { return acc[0]; }
 
 /// Load one bf16 value and widen to fp32 (exact).
 inline VF vload_bf16(const std::uint16_t* p) {

@@ -1100,19 +1100,24 @@ Tensor upsample_nearest3d_forward(const Tensor& x, Dims3 factor) {
   const float* px = x.data();
   float* po = out.data();
   const std::int64_t OH = H * fh, OW = W * fw;
+  // Per input row: widen it into its first output row, then copy that row
+  // to the other fh - 1 rows of its plane and the fh-row block to the
+  // other fd - 1 planes.
   parallel_for(N * C, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       const float* xs = px + b * D * H * W;
       float* os = po + b * D * fd * OH * OW;
-      for (std::int64_t od = 0; od < D * fd; ++od) {
-        const std::int64_t d = od / fd;
-        for (std::int64_t oh = 0; oh < OH; ++oh) {
-          const std::int64_t h = oh / fh;
+      for (std::int64_t d = 0; d < D; ++d)
+        for (std::int64_t h = 0; h < H; ++h) {
           const float* src = xs + (d * H + h) * W;
-          float* dst = os + (od * OH + oh) * OW;
-          for (std::int64_t ow = 0; ow < OW; ++ow) dst[ow] = src[ow / fw];
+          float* row = os + (d * fd * OH + h * fh) * OW;
+          for (std::int64_t w = 0; w < W; ++w)
+            for (std::int64_t ww = 0; ww < fw; ++ww) row[w * fw + ww] = src[w];
+          for (std::int64_t hh = 1; hh < fh; ++hh)
+            std::copy(row, row + OW, row + hh * OW);
+          for (std::int64_t dd = 1; dd < fd; ++dd)
+            std::copy(row, row + fh * OW, row + dd * OH * OW);
         }
-      }
     }
   });
   return out;
@@ -1126,23 +1131,30 @@ Tensor upsample_nearest3d_backward(const Shape& input_shape, Dims3 factor,
   const auto [fd, fh, fw] = factor;
   MFN_CHECK(gy.numel() == N * C * D * fd * H * fh * W * fw,
             "upsample backward shape");
-  Tensor gx = Tensor::zeros(input_shape);
+  Tensor gx = Tensor::uninitialized(input_shape);
   const float* pg = gy.data();
   float* px = gx.data();
   const std::int64_t OH = H * fh, OW = W * fw;
-  for (std::int64_t b = 0; b < N * C; ++b) {
-    float* xs = px + b * D * H * W;
-    const float* gs = pg + b * D * fd * OH * OW;
-    for (std::int64_t od = 0; od < D * fd; ++od) {
-      const std::int64_t d = od / fd;
-      for (std::int64_t oh = 0; oh < OH; ++oh) {
-        const std::int64_t h = oh / fh;
-        float* dst = xs + (d * H + h) * W;
-        const float* src = gs + (od * OH + oh) * OW;
-        for (std::int64_t ow = 0; ow < OW; ++ow) dst[ow / fw] += src[ow];
-      }
+  // Per input row, over its fd x fh output rows: each input element sums
+  // its fd * fh * fw sources from 0 in (dd, hh, ww) order.
+  parallel_for(N * C, [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t b = b0; b < b1; ++b) {
+      float* xs = px + b * D * H * W;
+      const float* gs = pg + b * D * fd * OH * OW;
+      for (std::int64_t d = 0; d < D; ++d)
+        for (std::int64_t h = 0; h < H; ++h) {
+          float* dst = xs + (d * H + h) * W;
+          std::fill(dst, dst + W, 0.0f);
+          for (std::int64_t dd = 0; dd < fd; ++dd)
+            for (std::int64_t hh = 0; hh < fh; ++hh) {
+              const float* src = gs + ((d * fd + dd) * OH + h * fh + hh) * OW;
+              for (std::int64_t w = 0; w < W; ++w)
+                for (std::int64_t ww = 0; ww < fw; ++ww)
+                  dst[w] += src[w * fw + ww];
+            }
+        }
     }
-  }
+  });
   return gx;
 }
 

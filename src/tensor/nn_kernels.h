@@ -62,11 +62,23 @@ struct Conv3dGrads {
 
 /// Implicit-GEMM backward, batch-parallel with per-sample weight/bias
 /// partials summed in sample order at the end, so the gradients are
-/// bitwise identical at every pool size. dW packs the transposed column operand
-/// straight from the volume; dX runs W^T x gy in NR-column strips
-/// (backend::sgemm_col_strips) with a fused col2vol scatter per strip, so
-/// neither the CKxL column matrix nor the dcol matrix exists. The bias
-/// gradient row sums go through the vectorized reduction kernels.
+/// bitwise identical at every pool size. Per sample n, by path:
+///   - pointwise (1x1x1, stride 1, pad 0): dW_n = gy_n · x_nᵀ on the input
+///     slab itself, and dX_n = Wᵀ · gy_n, both dense backend::sgemm calls;
+///   - stride-1 "same" convs on a vector tier, with rows that fit the
+///     zero-pack window tiles: dW_n = gy_n · col_nᵀ against the vol2col
+///     matrix, and dX_n is a same-geometry conv of gy_n with the flipped,
+///     transposed kernel through the zero-pack window path;
+///   - any other geometry, and every non-pointwise conv on the scalar
+///     tier: dW_n packs the transposed column operand straight from the
+///     volume (backend::sgemm_packed_b), and dX_n runs Wᵀ · gy_n in
+///     NR-column strips (backend::sgemm_col_strips) with a fused col2vol
+///     scatter per strip, so neither the CKxL column matrix nor the dcol
+///     matrix exists.
+/// The first two paths' dW products are A·Bᵀ with K = the output voxel
+/// count, which sgemm sums in vector lanes once K spans a vector (see
+/// backend/sgemm.h). The bias gradient row sums go through the vectorized
+/// reduction kernels.
 Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
                             bool had_bias, const Conv3dSpec& spec,
                             const Tensor& gy);

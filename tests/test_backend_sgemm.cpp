@@ -1,24 +1,49 @@
 // Tests for the unified GEMM execution backend: sgemm against a naive
 // reference across transpose variants, alpha/beta, and odd shapes; the
-// Workspace arena; and conv3d forward/backward parity against the seed
-// serial-batch reference path.
+// A·Bᵀ dot-kernel route against the reference, the scalar oracle and
+// itself across pool sizes; the Workspace arena; and conv3d
+// forward/backward parity against the seed serial-batch reference path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "backend/sgemm.h"
+#include "backend/simd.h"
 #include "backend/workspace.h"
 #include "common/rng.h"
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "threading/thread_pool.h"
 
 namespace mfn {
 namespace {
 
 using backend::Trans;
+
+// Real concurrency even on single-core hosts (runs before the first
+// ThreadPool::global() touch). An explicit MFN_NUM_THREADS wins.
+const bool kForcePool = [] {
+  setenv("MFN_NUM_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
+
+// Flip the runtime dispatch seam for the duration of a scope.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool v) : prev_(simd::force_scalar()) {
+    simd::set_force_scalar(v);
+  }
+  ~ScopedForceScalar() { simd::set_force_scalar(prev_); }
+
+ private:
+  bool prev_;
+};
 
 // Reference C = alpha * op(A) * op(B) + beta * C in double precision.
 void ref_gemm(Trans ta, Trans tb, std::int64_t M, std::int64_t N,
@@ -55,6 +80,11 @@ void expect_close(const std::vector<float>& got, const std::vector<float>& want,
   }
 }
 
+// The tolerance of every product check: 1e-5 relative, widened with K.
+float gemm_tol(std::int64_t K) {
+  return 1e-5f * static_cast<float>(std::max<std::int64_t>(1, K / 64));
+}
+
 void check_case(Trans ta, Trans tb, std::int64_t M, std::int64_t N,
                 std::int64_t K, float alpha, float beta, unsigned seed) {
   Rng rng(seed);
@@ -65,8 +95,7 @@ void check_case(Trans ta, Trans tb, std::int64_t M, std::int64_t N,
   auto want = C0;
   backend::sgemm(ta, tb, M, N, K, alpha, A.data(), B.data(), beta, got.data());
   ref_gemm(ta, tb, M, N, K, alpha, A, B, beta, want);
-  expect_close(got, want, 1e-5f * static_cast<float>(std::max<std::int64_t>(
-                              1, K / 64)));
+  expect_close(got, want, gemm_tol(K));
 }
 
 TEST(Sgemm, AllTransposeVariants) {
@@ -117,8 +146,7 @@ void check_bias_case(bool rows, std::int64_t M, std::int64_t N, std::int64_t K,
     for (std::int64_t j = 0; j < N; ++j)
       want[static_cast<std::size_t>(i * N + j)] +=
           bias[static_cast<std::size_t>(rows ? i : j)];
-  expect_close(got, want, 1e-5f * static_cast<float>(std::max<std::int64_t>(
-                              1, K / 64)));
+  expect_close(got, want, gemm_tol(K));
 }
 
 TEST(Sgemm, FusedBiasEpilogues) {
@@ -148,18 +176,156 @@ TEST(Sgemm, LargeKAccumulatesOverMultipleBlocks) {
 }
 
 TEST(Sgemm, BetaZeroOverwritesGarbage) {
-  // beta == 0 must fully overwrite C, even NaN (C treated as uninitialized).
-  const std::int64_t M = 30, N = 40, K = 50;
-  Rng rng(7);
-  auto A = random_vec(static_cast<std::size_t>(M * K), rng);
-  auto B = random_vec(static_cast<std::size_t>(K * N), rng);
-  std::vector<float> got(static_cast<std::size_t>(M * N),
-                         std::numeric_limits<float>::quiet_NaN());
-  std::vector<float> want(static_cast<std::size_t>(M * N), 0.0f);
-  backend::sgemm(Trans::kNo, Trans::kNo, M, N, K, 1.0f, A.data(), B.data(),
-                 0.0f, got.data());
-  ref_gemm(Trans::kNo, Trans::kNo, M, N, K, 1.0f, A, B, 0.0f, want);
-  expect_close(got, want, 1e-5f);
+  // beta == 0 must fully overwrite C, even NaN (C treated as uninitialized),
+  // on the blocked path and on the A·Bᵀ dot-kernel route.
+  const std::int64_t W = simd::kWidth;
+  struct Case {
+    Trans tb;
+    std::int64_t M, N, K;
+  };
+  const Case cases[] = {{Trans::kNo, 30, 40, 50},
+                        {Trans::kYes, 5, 27, W + 1},
+                        {Trans::kYes, 16, 108, 257},
+                        {Trans::kYes, 3, 432, 2 * W + 3},
+                        {Trans::kYes, 17, 4, 64}};
+  unsigned seed = 7;
+  for (const Case& c : cases) {
+    Rng rng(seed++);
+    auto A = random_vec(static_cast<std::size_t>(c.M * c.K), rng);
+    auto B = random_vec(static_cast<std::size_t>(c.K * c.N), rng);
+    std::vector<float> got(static_cast<std::size_t>(c.M * c.N),
+                           std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> want(static_cast<std::size_t>(c.M * c.N), 0.0f);
+    backend::sgemm(Trans::kNo, c.tb, c.M, c.N, c.K, 1.0f, A.data(), B.data(),
+                   0.0f, got.data());
+    ref_gemm(Trans::kNo, c.tb, c.M, c.N, c.K, 1.0f, A, B, 0.0f, want);
+    SCOPED_TRACE(::testing::Message() << "M " << c.M << " N " << c.N << " K "
+                                      << c.K);
+    expect_close(got, want, gemm_tol(c.K));
+  }
+}
+
+// ------------------------------------------ A·Bᵀ dot-kernel route ----
+// On the vector tiers, sgemm(kNo, kYes) with K of at least one vector and
+// a small product or a short M (conv3d's weight gradients) sums each
+// output along K in vector lanes. The sweep straddles the route's edges:
+// K around one and two vectors, M around the kernel's row block and the
+// short-M bound, N ragged against the column block, and large-M products
+// that keep the packed path.
+
+std::vector<std::int64_t> dot_route_ks() {
+  const std::int64_t W = simd::kWidth;
+  std::vector<std::int64_t> ks;
+  for (const std::int64_t k : {std::int64_t{1}, W - 1, W, W + 1, 2 * W + 3,
+                               std::int64_t{64}, std::int64_t{256},
+                               std::int64_t{257}})
+    if (k >= 1 && std::find(ks.begin(), ks.end(), k) == ks.end())
+      ks.push_back(k);
+  return ks;
+}
+
+// C = alpha * A·Bᵀ + beta * C0 on the configured tier.
+std::vector<float> run_nt(std::int64_t M, std::int64_t N, std::int64_t K,
+                          float alpha, const std::vector<float>& A,
+                          const std::vector<float>& B, float beta,
+                          std::vector<float> C) {
+  backend::sgemm(Trans::kNo, Trans::kYes, M, N, K, alpha, A.data(), B.data(),
+                 beta, C.data());
+  return C;
+}
+
+TEST(SgemmDotRoute, ShapeSweepMatchesReferenceAndScalarOracle) {
+  const std::pair<float, float> alpha_beta[] = {
+      {1.0f, 0.0f}, {-0.5f, 1.0f}, {2.25f, -1.5f}, {1.0f, 1.0f}};
+  unsigned seed = 500;
+  int combo = 0;
+  for (const std::int64_t M : {1, 3, 4, 5, 8, 16, 17})
+    for (const std::int64_t N : {1, 4, 27, 108, 432})
+      for (const std::int64_t K : dot_route_ks()) {
+        const auto [alpha, beta] = alpha_beta[combo++ % 4];
+        Rng rng(seed++);
+        const auto A = random_vec(static_cast<std::size_t>(M * K), rng);
+        const auto B = random_vec(static_cast<std::size_t>(N * K), rng);
+        const auto C0 = random_vec(static_cast<std::size_t>(M * N), rng);
+        SCOPED_TRACE(::testing::Message() << "M " << M << " N " << N << " K "
+                                          << K << " alpha " << alpha
+                                          << " beta " << beta);
+        const std::vector<float> got = run_nt(M, N, K, alpha, A, B, beta, C0);
+        std::vector<float> want = C0;
+        ref_gemm(Trans::kNo, Trans::kYes, M, N, K, alpha, A, B, beta, want);
+        expect_close(got, want, gemm_tol(K));
+        ScopedForceScalar scalar(true);
+        expect_close(got, run_nt(M, N, K, alpha, A, B, beta, C0),
+                     gemm_tol(K));
+      }
+}
+
+TEST(SgemmDotRoute, FusedEpilogues) {
+  const std::int64_t W = simd::kWidth;
+  const std::int64_t shapes[][3] = {
+      {4, 27, 64}, {5, 108, W + 1}, {16, 4, 256}, {3, 432, 257}};
+  unsigned seed = 950;
+  for (const auto& s : shapes)
+    for (const float beta : {0.0f, 1.0f}) {
+      const std::int64_t M = s[0], N = s[1], K = s[2];
+      Rng rng(seed++);
+      const auto A = random_vec(static_cast<std::size_t>(M * K), rng);
+      const auto B = random_vec(static_cast<std::size_t>(N * K), rng);
+      const auto rs = random_vec(static_cast<std::size_t>(M), rng);
+      const auto rb = random_vec(static_cast<std::size_t>(M), rng);
+      const auto cb = random_vec(static_cast<std::size_t>(N), rng);
+      const auto C0 = random_vec(static_cast<std::size_t>(M * N), rng);
+      backend::SgemmEpilogue ep;
+      ep.row_scale = rs.data();
+      ep.row_bias = rb.data();
+      ep.col_bias = cb.data();
+      ep.act = backend::Act::kRelu;
+      std::vector<float> got = C0;
+      backend::sgemm_ep(Trans::kNo, Trans::kYes, M, N, K, 0.75f, A.data(),
+                        B.data(), beta, got.data(), ep);
+      std::vector<float> want = C0;
+      ref_gemm(Trans::kNo, Trans::kYes, M, N, K, 0.75f, A, B, beta, want);
+      for (std::int64_t i = 0; i < M; ++i)
+        for (std::int64_t j = 0; j < N; ++j) {
+          float& w = want[static_cast<std::size_t>(i * N + j)];
+          w = std::max(rs[static_cast<std::size_t>(i)] * w +
+                           rb[static_cast<std::size_t>(i)] +
+                           cb[static_cast<std::size_t>(j)],
+                       0.0f);
+        }
+      SCOPED_TRACE(::testing::Message() << "M " << M << " N " << N << " K "
+                                        << K << " beta " << beta);
+      expect_close(got, want, gemm_tol(K));
+    }
+}
+
+// An un-nested call splits its column blocks over the pool; each output
+// is still summed by one thread in one order, so the bits match the
+// inline run's.
+TEST(SgemmDotRoute, PooledCallIsBitwiseInlineCall) {
+  ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  const std::int64_t shapes[][3] = {{4, 4096, 256}, {16, 1003, 257},
+                                    {7, 2000, 64}};
+  unsigned seed = 990;
+  for (const auto& s : shapes) {
+    const std::int64_t M = s[0], N = s[1], K = s[2];
+    Rng rng(seed++);
+    const auto A = random_vec(static_cast<std::size_t>(M * K), rng);
+    const auto B = random_vec(static_cast<std::size_t>(N * K), rng);
+    const std::vector<float> C0(static_cast<std::size_t>(M * N), 0.0f);
+    std::vector<float> serial;
+    {
+      ScopedInlineLoops inline_loops;
+      serial = run_nt(M, N, K, 1.0f, A, B, 0.0f, C0);
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      const std::vector<float> pooled = run_nt(M, N, K, 1.0f, A, B, 0.0f, C0);
+      EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
+                            serial.size() * sizeof(float)),
+                0)
+          << "M " << M << " N " << N << " K " << K << " repeat " << rep;
+    }
+  }
 }
 
 TEST(Sgemm, MatchesMatmulFamilyDispatch) {

@@ -108,7 +108,8 @@ TEST_P(ImplicitConvSweep, ParityBothTiers) {
 
 // stride {1,2} x padding {0,1} x ragged channel/filter counts (1, primes,
 // vector-width +/- 1) x geometries that hit the zero-pack full-width,
-// zero-pack narrow-row, pointwise, and generic packed-seam paths.
+// zero-pack narrow-row, pointwise, and generic packed-seam paths; then
+// every distinct conv shape of the two models that train in this repo.
 INSTANTIATE_TEST_SUITE_P(
     Cases, ImplicitConvSweep,
     ::testing::Values(
@@ -126,7 +127,30 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitCase{1, 3, 3, 4, 4, 4, 1, 2, 0, false},
         // vector-width +/- 1 channels at the training-like geometry
         ImplicitCase{1, 15, 17, 2, 4, 16, 3, 1, 1, true},
-        ImplicitCase{1, 9, 7, 2, 4, 8, 3, 1, 1, false}));
+        ImplicitCase{1, 9, 7, 2, 4, 8, 3, 1, 1, false},
+        // the U-Net's own convs: small_default at batch 4, ...
+        ImplicitCase{4, 4, 4, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{4, 4, 4, 4, 8, 8, 3, 1, 1, false},
+        ImplicitCase{4, 4, 8, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{4, 24, 4, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{4, 24, 8, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{4, 8, 16, 4, 8, 8, 1, 1, 0, true},
+        ImplicitCase{4, 8, 8, 4, 4, 4, 1, 1, 0, false},
+        ImplicitCase{4, 8, 8, 4, 4, 4, 3, 1, 1, false},
+        ImplicitCase{4, 8, 16, 4, 4, 4, 1, 1, 0, false},
+        ImplicitCase{4, 48, 8, 4, 4, 4, 1, 1, 0, false},
+        ImplicitCase{4, 48, 16, 4, 4, 4, 1, 1, 0, false},
+        ImplicitCase{4, 16, 16, 2, 2, 2, 1, 1, 0, false},
+        ImplicitCase{4, 16, 16, 2, 2, 2, 3, 1, 1, false},
+        ImplicitCase{4, 16, 32, 2, 2, 2, 1, 1, 0, false},
+        // ... and the distributed trainer's tiny model at batch 2
+        ImplicitCase{2, 4, 4, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{2, 4, 4, 4, 8, 8, 3, 1, 1, false},
+        ImplicitCase{2, 12, 4, 4, 8, 8, 1, 1, 0, false},
+        ImplicitCase{2, 4, 8, 4, 8, 8, 1, 1, 0, true},
+        ImplicitCase{2, 4, 4, 4, 4, 4, 1, 1, 0, false},
+        ImplicitCase{2, 4, 4, 4, 4, 4, 3, 1, 1, false},
+        ImplicitCase{2, 4, 8, 4, 4, 4, 1, 1, 0, false}));
 
 TEST(ConvImplicit, AsymmetricSpecAndTallKernel) {
   for (const bool fs : {false, true}) {
@@ -187,23 +211,36 @@ TEST(ConvImplicit, FusedEpilogueMatchesUnfusedChain) {
 
 // The weight and bias gradients sum over the batch. Keyed by sample and
 // summed in sample order, they do not depend on how the pool's dynamic
-// chunk schedule spread the samples over workers.
+// chunk schedule spread the samples over workers. With one sample the
+// batch loop has nothing to split, so the weight gradient's GEMM splits
+// its own column blocks over the pool; its outputs are still each summed
+// by one thread in one order.
 TEST(ConvImplicit, SerialBackwardIsBitwisePooledBackward) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
-  Rng rng(21);
-  Tensor x = Tensor::randn(Shape{8, 6, 4, 8, 16}, rng);
-  Tensor w = Tensor::randn(Shape{10, 6, 3, 3, 3}, rng, 0.3f);
-  Conv3dSpec spec;  // 3x3x3 stride 1 pad 1
-  Tensor gy = Tensor::randn(conv3d_output_shape(x.shape(), w.shape(), spec),
-                            rng);
-  const Conv3dGrads serial = run_serially(
-      [&] { return conv3d_backward(x, w, /*had_bias=*/true, spec, gy); });
-  for (int rep = 0; rep < 3; ++rep) {
-    const Conv3dGrads pooled = conv3d_backward(x, w, true, spec, gy);
-    EXPECT_TRUE(bitwise_equal(serial.gx, pooled.gx)) << "repeat " << rep;
-    EXPECT_TRUE(bitwise_equal(serial.gweight, pooled.gweight))
-        << "repeat " << rep;
-    EXPECT_TRUE(bitwise_equal(serial.gbias, pooled.gbias)) << "repeat " << rep;
+  const Shape cases[][2] = {
+      {Shape{8, 6, 4, 8, 16}, Shape{10, 6, 3, 3, 3}},
+      {Shape{1, 8, 4, 16, 16}, Shape{8, 8, 3, 3, 3}},     // one sample
+      {Shape{1, 64, 4, 16, 16}, Shape{16, 64, 1, 1, 1}}};  // pointwise
+  for (const auto& c : cases) {
+    Rng rng(21);
+    Tensor x = Tensor::randn(c[0], rng);
+    Tensor w = Tensor::randn(c[1], rng, 0.3f);
+    Conv3dSpec spec;  // stride 1, "same" padding
+    spec.kernel = {c[1][2], c[1][3], c[1][4]};
+    spec.padding = {c[1][2] / 2, c[1][3] / 2, c[1][4] / 2};
+    Tensor gy = Tensor::randn(conv3d_output_shape(x.shape(), w.shape(), spec),
+                              rng);
+    const Conv3dGrads serial = run_serially(
+        [&] { return conv3d_backward(x, w, /*had_bias=*/true, spec, gy); });
+    for (int rep = 0; rep < 3; ++rep) {
+      const Conv3dGrads pooled = conv3d_backward(x, w, true, spec, gy);
+      EXPECT_TRUE(bitwise_equal(serial.gx, pooled.gx))
+          << c[0].str() << " repeat " << rep;
+      EXPECT_TRUE(bitwise_equal(serial.gweight, pooled.gweight))
+          << c[0].str() << " repeat " << rep;
+      EXPECT_TRUE(bitwise_equal(serial.gbias, pooled.gbias))
+          << c[0].str() << " repeat " << rep;
+    }
   }
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
+#include "threading/thread_pool.h"
 
 namespace mfn {
 namespace {
@@ -161,6 +163,84 @@ TEST(Upsample3d, PoolUpsampleAdjoint) {
   Tensor ux = upsample_nearest3d_forward(x, {2, 2, 2});
   Tensor bty = upsample_nearest3d_backward(x.shape(), {2, 2, 2}, y);
   EXPECT_NEAR(sum(mul(ux, y)), sum(mul(x, bty)), 1e-3f);
+}
+
+// The serial per-output-element loops the upsample kernels ran before they
+// became row-wise and parallel over (n, c) slabs. The kernels must
+// reproduce them bit for bit: every input gradient sums its sources from 0
+// in the same (dd, hh, ww) order.
+Tensor upsample_forward_loops(const Tensor& x, Dims3 f) {
+  const std::int64_t NC = x.dim(0) * x.dim(1), D = x.dim(2), H = x.dim(3),
+                     W = x.dim(4);
+  const std::int64_t OH = H * f[1], OW = W * f[2];
+  Tensor out(Shape{x.dim(0), x.dim(1), D * f[0], OH, OW});
+  for (std::int64_t b = 0; b < NC; ++b) {
+    const float* xs = x.data() + b * D * H * W;
+    float* os = out.data() + b * D * f[0] * OH * OW;
+    for (std::int64_t od = 0; od < D * f[0]; ++od)
+      for (std::int64_t oh = 0; oh < OH; ++oh) {
+        const float* src = xs + (od / f[0] * H + oh / f[1]) * W;
+        float* dst = os + (od * OH + oh) * OW;
+        for (std::int64_t ow = 0; ow < OW; ++ow) dst[ow] = src[ow / f[2]];
+      }
+  }
+  return out;
+}
+
+Tensor upsample_backward_loops(const Shape& in, Dims3 f, const Tensor& gy) {
+  const std::int64_t NC = in[0] * in[1], D = in[2], H = in[3], W = in[4];
+  const std::int64_t OH = H * f[1], OW = W * f[2];
+  Tensor gx = Tensor::zeros(in);
+  for (std::int64_t b = 0; b < NC; ++b) {
+    float* xs = gx.data() + b * D * H * W;
+    const float* gs = gy.data() + b * D * f[0] * OH * OW;
+    for (std::int64_t od = 0; od < D * f[0]; ++od)
+      for (std::int64_t oh = 0; oh < OH; ++oh) {
+        float* dst = xs + (od / f[0] * H + oh / f[1]) * W;
+        const float* src = gs + (od * OH + oh) * OW;
+        for (std::int64_t ow = 0; ow < OW; ++ow) dst[ow / f[2]] += src[ow];
+      }
+  }
+  return gx;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// The U-Net's upsample inputs and factors: small_default at batch 4 and
+// the distributed trainer's tiny model at batch 2.
+struct ResampleCase {
+  Shape coarse;
+  Dims3 factor;
+};
+const ResampleCase kModelResamples[] = {
+    {Shape{4, 16, 4, 4, 4}, {1, 2, 2}},  // small_default, level 0
+    {Shape{4, 32, 2, 2, 2}, {2, 2, 2}},  // small_default, level 1
+    {Shape{2, 8, 4, 4, 4}, {1, 2, 2}},   // dist-tiny
+};
+
+TEST(Upsample3d, MatchesPerElementLoopsBitwiseAtModelShapes) {
+  for (const ResampleCase& rc : kModelResamples) {
+    Rng rng(31);
+    Tensor x = Tensor::randn(rc.coarse, rng);
+    const Tensor want_y = upsample_forward_loops(x, rc.factor);
+    Tensor gy = Tensor::randn(want_y.shape(), rng);
+    const Tensor want_gx = upsample_backward_loops(x.shape(), rc.factor, gy);
+    auto check = [&](const char* how) {
+      EXPECT_TRUE(same_bits(upsample_nearest3d_forward(x, rc.factor), want_y))
+          << rc.coarse.str() << " " << how;
+      EXPECT_TRUE(same_bits(
+          upsample_nearest3d_backward(x.shape(), rc.factor, gy), want_gx))
+          << rc.coarse.str() << " " << how;
+    };
+    check("pooled");
+    ScopedInlineLoops serial;
+    check("inline");
+  }
 }
 
 TEST(BatchNorm3d, NormalizesToZeroMeanUnitVar) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "autodiff/gradcheck.h"
@@ -166,6 +167,35 @@ TEST(SimdReductions, LargeCrossBlockSum) {
   Tensor x = Tensor::randn(Shape{n}, rng);
   const float want = static_cast<float>(scalar_ref::sum(x.data(), n));
   EXPECT_NEAR(sum(x), want, 1e-5f * std::max(std::fabs(want), 1.0f));
+}
+
+// vfold_block: lane i is the sum of acc[i]'s lanes, added in one order
+// whichever slot acc[i] sits in.
+TEST(SimdReductions, FoldBlockSumsEachVectorInOneOrder) {
+  constexpr int W = simd::kWidth;
+  simd::VF acc[W];
+  float lanes[W * W], out[W];
+  // Small integers: every sum is exact, so the lane placement is pinned.
+  for (int i = 0; i < W * W; ++i) lanes[i] = static_cast<float>(i);
+  for (int i = 0; i < W; ++i) acc[i] = simd::vloadu(lanes + i * W);
+  simd::vstoreu(out, simd::vfold_block(acc));
+  for (int i = 0; i < W; ++i)
+    EXPECT_EQ(out[i], static_cast<float>(i * W * W + W * (W - 1) / 2)) << i;
+  // One random vector in every slot in turn, among random neighbours.
+  Rng rng(53);
+  const Tensor probe = Tensor::randn(Shape{W}, rng, 1e3f);
+  double want = 0.0;
+  for (int l = 0; l < W; ++l) want += probe.data()[l];
+  float first = 0.0f;
+  for (int slot = 0; slot < W; ++slot) {
+    const Tensor others = Tensor::randn(Shape{W * W}, rng, 1e3f);
+    for (int i = 0; i < W; ++i)
+      acc[i] = simd::vloadu(i == slot ? probe.data() : others.data() + i * W);
+    simd::vstoreu(out, simd::vfold_block(acc));
+    if (slot == 0) first = out[0];
+    EXPECT_EQ(std::memcmp(&out[slot], &first, sizeof(float)), 0) << slot;
+    EXPECT_NEAR(out[slot], want, 1e-5 * std::max(std::fabs(want), 1.0));
+  }
 }
 
 TEST(SimdReductions, SumAxis0MatchesForcedScalar) {

@@ -62,7 +62,10 @@ ID_FIELDS = ("mfn_perf", "op", "batch", "channels", "queries", "m", "n",
              # train_step: the gamma = 0 step (no equation loss) is its own
              # series; the gamma = 0.0125 line omits the field and keeps
              # its baseline identity.
-             "gamma")
+             "gamma",
+             # conv3d_bwd: one series per conv shape of the U-Net. Absent
+             # on every other line, so their identity is unchanged.
+             "filters", "kernel", "volume")
 
 
 def load(path):
