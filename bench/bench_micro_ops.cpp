@@ -5,12 +5,14 @@
 // out in DESIGN.md Sec. 5).
 #include <benchmark/benchmark.h>
 
+#include "autodiff/ops.h"
 #include "autodiff/variable.h"
 #include "backend/simd.h"
 #include "backend/workspace.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/decode_jet.h"
 #include "core/decode_plan.h"
 #include "core/decoder.h"
 #include "core/losses.h"
@@ -462,6 +464,64 @@ void emit_perf_json() {
           static_cast<long long>(s.D), static_cast<long long>(s.H),
           static_cast<long long>(s.W), threads, 2.0 * flops / sec_b / 1e9,
           flops / sec_f / 1e9, sec_b / sec_f);
+    }
+  }
+  {
+    // The fused decoder nodes with a tape: microseconds per forward alone
+    // (*_fwd_us, no tape) and per forward + backward of the sum of the
+    // output (*_us), for the value node (decode_value, every gamma = 0
+    // step) and the derivative bundle (decode_jet), at the small_default
+    // decoder's training shape, the dist-tiny decoder's, and one query,
+    // which shows the per-call cost of layer 0's per-voxel term.
+    struct Shape3 {
+      const char* decoder;
+      core::DecoderConfig cfg;
+      std::int64_t n, q;
+    };
+    const core::DecoderConfig small = core::MFNConfig::small_default().decoder;
+    for (const Shape3& s : {Shape3{"small_default", small, 4, 384},
+                            Shape3{"dist_tiny",
+                                   dist::dist_tiny_model_config().decoder, 2,
+                                   128},
+                            Shape3{"small_default", small, 1, 1}}) {
+      Rng rng(41);
+      core::ContinuousDecoder dec(s.cfg, rng);
+      ad::Var latent(
+          Tensor::randn(Shape{s.n, s.cfg.latent_channels, 4, 8, 8}, rng, 0.5f),
+          true);
+      Tensor coords = Tensor::uninitialized(Shape{s.n, s.q, 3});
+      for (std::int64_t b = 0; b < s.n * s.q; ++b) {
+        coords.data()[b * 3 + 0] = static_cast<float>(rng.uniform(0.0, 3.0));
+        coords.data()[b * 3 + 1] = static_cast<float>(rng.uniform(0.0, 7.0));
+        coords.data()[b * 3 + 2] = static_cast<float>(rng.uniform(0.0, 7.0));
+      }
+      using Node = ad::Var (*)(const ad::Var&, const Tensor&, std::int64_t,
+                               const nn::MLP&);
+      auto fwd = [&](Node node) {
+        ad::NoGradGuard no_grad;
+        benchmark::DoNotOptimize(node(latent, coords, s.q, dec.mlp()));
+      };
+      auto fwd_bwd = [&](Node node) {
+        for (ad::Var* p : dec.parameters()) p->zero_grad();
+        latent.zero_grad();
+        ad::backward(ad::sum(node(latent, coords, s.q, dec.mlp())));
+      };
+      const int reps = s.q == 1 ? 400 : 15;
+      double us[4];
+      int i = 0;
+      for (const Node node : {Node{core::decode_value}, Node{core::decode_jet}})
+        for (const bool bwd : {false, true}) {
+          bwd ? fwd_bwd(node) : fwd(node);  // warm up
+          us[i++] = 1e6 * time_best_of(reps, [&] {
+                      bwd ? fwd_bwd(node) : fwd(node);
+                    });
+        }
+      std::printf(
+          "{\"mfn_perf\":\"decode_bwd\",\"decoder\":\"%s\",\"batch\":%lld,"
+          "\"queries\":%lld,\"threads\":%d,\"value_fwd_us\":%.1f,"
+          "\"value_us\":%.1f,\"jet_fwd_us\":%.1f,\"jet_us\":%.1f}\n",
+          s.decoder, static_cast<long long>(s.n),
+          static_cast<long long>(s.q), threads, us[0], us[1], us[2], us[3]);
     }
   }
   {

@@ -14,7 +14,7 @@
 //
 // Every tier implements the complete API — including the scalar tier — so
 // kernels written against it compile everywhere. The vectorized
-// transcendentals (v_exp / v_log / v_tanh / v_softplus / v_sigmoid) are
+// transcendentals (v_exp / v_log1p / v_tanh / v_softplus / v_sigmoid) are
 // single-source: they are written once in terms of the op vocabulary and
 // mirror the Cephes-style scalar polynomials in tensor_ops.cpp, so the
 // SIMD and scalar activation paths agree to ~1 ulp of the shared
@@ -703,7 +703,7 @@ inline const char* active_tier() noexcept {
 
 // ------------------------------------------- vectorized transcendentals --
 // Single-source ports of the Cephes-style scalar kernels in
-// tensor_ops.cpp (fast_expf / fast_logf / fast_tanhf): same clamps, same
+// tensor_ops.cpp (fast_expf / fast_log1pf / fast_tanhf): same clamps, same
 // polynomial coefficients, same branch-free structure, evaluated on VF.
 
 /// exp(x), inputs clamped to the finite float range; NaN propagates.
@@ -728,39 +728,22 @@ inline VF v_exp(VF x) {
   return vselect(nan_mask, x, vmul(p, scale));
 }
 
-/// log(x) for x > 0 finite (Cephes logf reduction).
-inline VF v_log(VF x) {
-  const VI bx = vcasti(x);
-  VF e = vcvtf(vi_sub(vi_srli<23>(bx), vi_set1(127)));
-  VF m = vcastf(vi_or(vi_and(bx, vi_set1(0x007FFFFF)),
-                      vi_set1(0x3F800000)));  // mantissa in [1, 2)
-  // renormalize to [sqrt(1/2), sqrt(2)) so the polynomial argument is small
-  const VM big = vcmp_gt(m, vset1(1.41421356237f));
-  m = vselect(big, vmul(m, vset1(0.5f)), m);
-  e = vadd(e, vselect(big, vset1(1.0f), vzero()));
-  const VF t = vsub(m, vset1(1.0f));
-  VF p = vset1(7.0376836292e-2f);
-  p = vfma(p, t, vset1(-1.1514610310e-1f));
-  p = vfma(p, t, vset1(1.1676998740e-1f));
-  p = vfma(p, t, vset1(-1.2420140846e-1f));
-  p = vfma(p, t, vset1(1.4249322787e-1f));
-  p = vfma(p, t, vset1(-1.6668057665e-1f));
-  p = vfma(p, t, vset1(2.0000714765e-1f));
-  p = vfma(p, t, vset1(-2.4999993993e-1f));
-  p = vfma(p, t, vset1(3.3333331174e-1f));
-  const VF z = vmul(t, t);
-  VF y = vmul(vmul(t, z), p);
-  y = vfma(vset1(-0.5f), z, y);
-  return vadd(vadd(t, y), vmul(e, vset1(0.693147180559945f)));
-}
-
-/// log(1 + u) for u in [0, 1], with the first-order rounding compensation
-/// of the scalar fast_log1pf.
+/// log(1 + u) for u in [0, 1], the range softplus evaluates it on, as
+/// u * P9(u): P9 is a degree-9 Chebyshev fit of log1p(u) / u on [0, 1]
+/// (max error 5.2e-9), so no log reduction and no division. Same
+/// coefficients and Horner order as the scalar fast_log1pf.
 inline VF v_log1p(VF u) {
-  const VF one = vset1(1.0f);
-  const VF w = vadd(one, u);
-  const VF corr = vdiv(vsub(u, vsub(w, one)), w);
-  return vadd(v_log(w), corr);
+  VF p = vset1(-0.00317605701843196f);
+  p = vfma(p, u, vset1(0.019542527261014103f));
+  p = vfma(p, u, vset1(-0.05637361283010733f));
+  p = vfma(p, u, vset1(0.10543623795419527f));
+  p = vfma(p, u, vset1(-0.15269667074363288f));
+  p = vfma(p, u, vset1(0.19663274257204805f));
+  p = vfma(p, u, vset1(-0.24951616262872076f));
+  p = vfma(p, u, vset1(0.3332971049891775f));
+  p = vfma(p, u, vset1(-0.49999892648063277f));
+  p = vfma(p, u, vset1(0.999999994656292f));
+  return vmul(u, p);
 }
 
 /// tanh(x): small-|x| odd polynomial, exp-based tail, branch-free select.

@@ -40,7 +40,7 @@ struct VecLanes {
   static void store(float* p, V v) { simd::vstoreu(p, v); }
   static V set1(float x) { return simd::vset1(x); }
   static V fma(V a, V b, V c) { return simd::vfma(a, b, c); }
-  // Softplus of z from e = exp(-|z|).
+  // Softplus of z from e = exp(-|z|), e in (0, 1].
   static V softplus(V z, V e) {
     return simd::vmax(z, simd::vzero()) + simd::v_log1p(e);
   }
@@ -146,7 +146,7 @@ void dispatch(bool vec, Activation act, F&& f) {
 // A tile is one query's 8 corner rows (row j = corner j). A layer's
 // activations in a tile are row-major with the features padded to whole
 // column panels: stream m of row r starts at (r * S + m) * ld for S
-// streams (1 for the layer-0 input and the value pass, 6 for a jet).
+// streams (1 for the value pass, 6 for a jet).
 
 // Column tiling of a width: panels of np vectors (two when the width
 // exceeds one vector), ld = padded width. Padding lanes hold finite
@@ -212,30 +212,29 @@ struct Net {
 };
 
 // fwd: panels over each layer's outputs (column o of M is W's row o).
-// bwd (with `backward`): panels over each layer's inputs (W^T), layer 0's
-// over its latent columns only, which are what the input adjoint is kept
-// for.
+// bwd (with `backward`): panels over each layer's inputs (W^T). Layer 0's
+// cover its latent columns only: fwd for the per-voxel term W0_lat z + b0,
+// bwd for the latent gradient.
 template <class P>
 Net make_net(const std::vector<Layer>& layers, bool backward,
              backend::Workspace& ws) {
   Net net{layers, {}, {}, {}, nullptr};
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const Layer& ly = layers[l];
+    const std::int64_t k0 = l == 0 ? 3 : 0;
     net.fwd.push_back(pack_panels<P>(
-        ly.out, ly.in,
-        [&ly](std::int64_t o, std::int64_t k) {
-          return ly.weight[o * ly.in + k];
+        ly.out, ly.in - k0,
+        [&ly, k0](std::int64_t o, std::int64_t k) {
+          return ly.weight[o * ly.in + k0 + k];
         },
         ws));
-    if (backward) {
-      const std::int64_t k0 = l == 0 ? 3 : 0;
+    if (backward)
       net.bwd.push_back(pack_panels<P>(
           ly.in - k0, ly.out,
           [&ly, k0](std::int64_t k, std::int64_t o) {
             return ly.weight[o * ly.in + k0 + k];
           },
           ws));
-    }
     net.bias.push_back(padded(ly.bias, ly.out, cols<P>(ly.out).ld, ws));
   }
   const Layer& l0 = layers.front();
@@ -250,13 +249,19 @@ Net make_net(const std::vector<Layer>& layers, bool backward,
 
 // ---------------------------------------------------------- tile kernels --
 
+// The source of a layer product: entry (row r, stream m, input k) at
+// p[r * ldr + m * lds + k * ldk].
+struct Src {
+  const float* p;
+  std::int64_t ldr, lds, ldk;
+  Src rows_from(std::int64_t r0) const { return {p + r0 * ldr, ldr, lds, ldk}; }
+};
+
 // One register tile of a layer product: R rows x S streams x NP vectors,
 // acc[r][m][v] = sum over k < n of src(r, m, k) * panel(k, v), the source
-// entries broadcast against the panel's vectors. src(r, m, k) is at
-// src + r * ldr + m * lds + k.
+// entries broadcast against the panel's vectors.
 template <class P, int R, int S, int NP>
-inline void product(const float* src, std::int64_t ldr, std::int64_t lds,
-                    std::int64_t n, const float* panel,
+inline void product(const Src src, std::int64_t n, const float* panel,
                     typename P::V (&acc)[R][S][NP]) {
   using V = typename P::V;
   constexpr std::int64_t W = P::kWidth;
@@ -266,9 +271,10 @@ inline void product(const float* src, std::int64_t ldr, std::int64_t lds,
   for (std::int64_t k = 0; k < n; ++k) {
     V w[NP];
     for (int v = 0; v < NP; ++v) w[v] = P::load(panel + (k * NP + v) * W);
+    const float* sk = src.p + k * src.ldk;
     for (int r = 0; r < R; ++r)
       for (int m = 0; m < S; ++m) {
-        const V a = P::set1(src[r * ldr + m * lds + k]);
+        const V a = P::set1(sk[r * src.ldr + m * src.lds]);
         for (int v = 0; v < NP; ++v) acc[r][m][v] = P::fma(a, w[v], acc[r][m][v]);
       }
   }
@@ -290,21 +296,34 @@ constexpr int tile_rows() {
 }
 
 // A layer pass: for every column panel and every R-row register tile of
-// `rows` rows, the product of the S-stream source (row stride S * lds,
-// stream stride lds, n inputs) with the panel, handed to wb(r0, c0, acc)
-// for the write-back of rows r0.. and columns c0...
+// `rows` rows (a multiple of R), the product of the S-stream source over n
+// inputs with the panel, handed to wb(r0, c0, acc) for the write-back of
+// rows r0.. and columns c0...
 template <class P, int S, int NP, int R = tile_rows<P, S, NP>(), class WB>
-void layer_pass(const float* src, std::int64_t lds, int rows, std::int64_t n,
+void layer_pass(const Src& src, std::int64_t rows, std::int64_t n,
                 const float* panels, std::int64_t npanels, WB&& wb) {
   constexpr std::int64_t pw = NP * P::kWidth;
-  static_assert(kRows % R == 0, "register tiles cover the tile's rows");
   for (std::int64_t p = 0; p < npanels; ++p)
-    for (int r0 = 0; r0 < rows; r0 += R) {
+    for (std::int64_t r0 = 0; r0 < rows; r0 += R) {
       typename P::V acc[R][S][NP];
-      product<P, R, S, NP>(src + r0 * S * lds, S * lds, lds, n,
-                           panels + p * n * pw, acc);
+      product<P, R, S, NP>(src.rows_from(r0), n, panels + p * n * pw, acc);
       wb(r0, p * pw, acc);
     }
+}
+
+// layer_pass over any number of rows: whole register tiles, then the
+// ragged tail one row at a time.
+template <class P, int NP, class WB>
+void rows_pass(const Src& src, std::int64_t rows, std::int64_t n,
+               const float* panels, std::int64_t npanels, WB&& wb) {
+  constexpr int R = tile_rows<P, 1, NP>();
+  const std::int64_t whole = rows / R * R;
+  layer_pass<P, 1, NP, R>(src, whole, n, panels, npanels, wb);
+  layer_pass<P, 1, NP, 1>(
+      src.rows_from(whole), rows - whole, n, panels, npanels,
+      [&](std::int64_t r0, std::int64_t c, auto& acc) {
+        wb(whole + r0, c, acc);
+      });
 }
 
 // Weight-gradient partial: acc(o, k) += sum over rows and streams of
@@ -463,31 +482,59 @@ inline void blend_adjoint(const typename P::V (&mb)[S], const float* geo,
   }
 }
 
-// A single-layer decoder's output layer reads layer 0's input as a jet:
-// the [rel | latent] rows with unit tangent seeds on the coordinate
-// columns and zero curvatures (stream stride ldx).
-void seed_jet(const float* x, std::int64_t ldx, float* h) {
-  for (int r = 0; r < kRows; ++r) {
-    float* hr = h + r * kStreams * ldx;
-    std::fill(hr, hr + kStreams * ldx, 0.0f);
-    std::copy(x + r * ldx, x + (r + 1) * ldx, hr);
-    for (int k = 0; k < 3; ++k) hr[(1 + k) * ldx + k] = 1.0f;
-  }
-}
-
 std::int64_t block_count(const Grid& g) {
   return (g.n * g.q + kBlockQueries - 1) / kBlockQueries;
 }
 
-// The widest padded row of any layer's input or output.
+// The widest padded row of any layer's output.
 template <class P>
 std::int64_t widest_ld(const std::vector<Layer>& layers) {
-  std::int64_t w = cols<P>(layers.front().in).ld;
+  std::int64_t w = 0;
   for (const Layer& l : layers) w = std::max(w, cols<P>(l.out).ld);
   return w;
 }
 
-// --------------------------------------------------------------- gather --
+// ---------------------------------------------------------------- layer 0 --
+// Layer 0 is W0 [rel; z] + b0 = W0_rel rel + (W0_lat z + b0), and the
+// second term depends only on the latent voxel. voxel_rows() computes it
+// once per call for every voxel, and a corner row's pre-activation is its
+// voxel's row plus three FMAs per output vector.
+
+std::int64_t slab_of(const Grid& g) { return g.lt * g.lz * g.lx; }
+
+// The per-voxel term of layer 0, channels-last and padded like layer 0's
+// output: p[(n * slab + voxel) * ld0 + o] = b0(o) + sum over channels ch of
+// W0(o, 3 + ch) latent(n, ch, voxel), one product per sample.
+template <class P>
+float* voxel_rows(const Grid& g, const Net& net, backend::Workspace& ws) {
+  constexpr std::int64_t W = P::kWidth;
+  const std::int64_t slab = slab_of(g);
+  const Cols c0 = cols<P>(net.layers.front().out);
+  float* p = ws.alloc(static_cast<std::size_t>(g.n * slab * c0.ld));
+  parallel_for(
+      g.n,
+      [&](std::int64_t n0, std::int64_t n1) {
+        for (std::int64_t n = n0; n < n1; ++n) {
+          float* pn = p + n * slab * c0.ld;
+          with_np(c0.np, [&](auto np) {
+            constexpr int NP = decltype(np)::value;
+            rows_pass<P, NP>(
+                {g.latent + n * g.c * slab, 1, 0, slab}, slab, g.c,
+                net.fwd[0], c0.panels,
+                [&](std::int64_t r0, std::int64_t c, auto& acc) {
+                  for (int r = 0; r < rows_of(acc); ++r)
+                    for (int v = 0; v < NP; ++v) {
+                      const std::int64_t col = c + v * W;
+                      P::store(pn + (r0 + r) * c0.ld + col,
+                               acc[r][0][v] + P::load(net.bias[0] + col));
+                    }
+                });
+          });
+        }
+      },
+      /*grain=*/1);
+  return p;
+}
 
 // Query b's sample, the latent voxel of its base corner (t, z, x) and its
 // fractions in the cell.
@@ -508,101 +555,117 @@ std::int64_t corner_offset(const Grid& g, int j) {
   return (((j >> 2) & 1) * g.lz + ((j >> 1) & 1)) * g.lx + (j & 1);
 }
 
-// The latent channels-last, lc[(n * slab + voxel) * c + ch], so a corner's
-// latent row is one contiguous copy.
-float* channels_last(const Grid& g, backend::Workspace& ws) {
-  const std::int64_t slab = g.lt * g.lz * g.lx;
-  float* lc = ws.alloc(static_cast<std::size_t>(g.n * slab * g.c));
-  for (std::int64_t n = 0; n < g.n; ++n)
-    for (std::int64_t ch = 0; ch < g.c; ++ch) {
-      const float* src = g.latent + (n * g.c + ch) * slab;
-      float* dst = lc + n * slab * g.c + ch;
-      for (std::int64_t v = 0; v < slab; ++v) dst[v * g.c] = src[v];
-    }
-  return lc;
-}
+// One query's tile: corner j's voxel row of voxel_rows(), its coordinates
+// relative to the corner and its blend weights w, dw/dt, dw/dz, dw/dx at
+// geo[4 * j ..].
+struct Tile {
+  const float* vox[kRows];
+  float rel[kRows][3];
+  float geo[4 * kRows];
+};
 
-// Query b's tile: row j of x (stride ldx) is corner j's [rel | latent]
-// input and geo[4 * j ..] its blend weights w, dw/dt, dw/dz, dw/dx.
-void gather(const Grid& g, const float* lc, const float* coords,
-            std::int64_t b, std::int64_t ldx, float* x, float* geo) {
+void locate_tile(const Grid& g, const float* prows, std::int64_t ld0,
+                 const float* coords, std::int64_t b, Tile& t) {
   const Cell cell = locate(g, coords, b);
-  const float* base =
-      lc + (cell.sample * g.lt * g.lz * g.lx + cell.voxel) * g.c;
+  const float* base = prows + (cell.sample * slab_of(g) + cell.voxel) * ld0;
   for (int j = 0; j < kRows; ++j) {
     const int jt = (j >> 2) & 1, jz = (j >> 1) & 1, jx = j & 1;
-    float* r = x + j * ldx;
-    r[0] = static_cast<float>(cell.ft - jt);
-    r[1] = static_cast<float>(cell.fz - jz);
-    r[2] = static_cast<float>(cell.fx - jx);
-    const float* src = base + corner_offset(g, j) * g.c;
-    std::copy(src, src + g.c, r + 3);
+    t.vox[j] = base + corner_offset(g, j) * ld0;
+    t.rel[j][0] = static_cast<float>(cell.ft - jt);
+    t.rel[j][1] = static_cast<float>(cell.fz - jz);
+    t.rel[j][2] = static_cast<float>(cell.fx - jx);
     // per-axis hat weights; their coordinate derivatives are +-1 factors
     const double wt = jt ? cell.ft : 1.0 - cell.ft;
     const double wz = jz ? cell.fz : 1.0 - cell.fz;
     const double wx = jx ? cell.fx : 1.0 - cell.fx;
     const double st = jt ? 1.0 : -1.0, sz = jz ? 1.0 : -1.0,
                  sx = jx ? 1.0 : -1.0;
-    geo[4 * j + 0] = static_cast<float>(wt * wz * wx);
-    geo[4 * j + 1] = static_cast<float>(st * wz * wx);
-    geo[4 * j + 2] = static_cast<float>(wt * sz * wx);
-    geo[4 * j + 3] = static_cast<float>(wt * wz * sx);
+    t.geo[4 * j + 0] = static_cast<float>(wt * wz * wx);
+    t.geo[4 * j + 1] = static_cast<float>(st * wz * wx);
+    t.geo[4 * j + 2] = static_cast<float>(wt * sz * wx);
+    t.geo[4 * j + 3] = static_cast<float>(wt * wz * sx);
+  }
+}
+
+// Layer 0 of a tile with S streams into h (row r, stream m at
+// (r * S + m) * ld0). Per output vector, all 8 rows' pre-activations
+// z = voxel row + rel . W0's coordinate columns come first, then their
+// independent activations: the value pass stores f(z), the jet the jet
+// activation of (z, W0's coordinate columns as tangents, zero
+// curvatures). With Save, the activation derivatives go to d (row r,
+// derivative e at (r * D + e) * ld0). Linear (a decoder without a hidden
+// layer, whose layer 0 is its output layer) stores that pre-activation
+// jet itself.
+template <class P, Activation A, int S, bool Save, bool Linear>
+void layer0(const Net& net, const Tile& t, float* h, float* d) {
+  using V = typename P::V;
+  constexpr std::int64_t W = P::kWidth;
+  constexpr int D = kDerivs<S>;
+  const std::int64_t ld0 = cols<P>(net.layers.front().out).ld;
+  for (std::int64_t c = 0; c < ld0; c += W) {
+    const V wt = P::load(net.wc + c), wz = P::load(net.wc + ld0 + c),
+            wx = P::load(net.wc + 2 * ld0 + c);
+    V z[kRows];
+    for (int r = 0; r < kRows; ++r)
+      z[r] = P::fma(P::set1(t.rel[r][2]), wx,
+                    P::fma(P::set1(t.rel[r][1]), wz,
+                           P::fma(P::set1(t.rel[r][0]), wt,
+                                  P::load(t.vox[r] + c))));
+    for (int r = 0; r < kRows; ++r) {
+      float* hr = h + r * S * ld0 + c;
+      if constexpr (Linear) {
+        P::store(hr, z[r]);
+        if constexpr (S == kStreams) {
+          P::store(hr + ld0, wt);
+          P::store(hr + 2 * ld0, wz);
+          P::store(hr + 3 * ld0, wx);
+          P::store(hr + 4 * ld0, P::set1(0.0f));
+          P::store(hr + 5 * ld0, P::set1(0.0f));
+        }
+      } else {
+        float* dr = Save ? d + r * D * ld0 + c : nullptr;
+        if constexpr (S == 1) {
+          act_value<P, A, Save>(z[r], hr, dr);
+        } else {
+          V zj[kStreams];
+          layer0_jet<P>(z[r], net.wc + c, ld0, zj);
+          act_jet<P, A>(zj, hr, ld0, dr);
+        }
+      }
+    }
   }
 }
 
 // --------------------------------------------------------------- forward --
 
-// A gathered tile x (stride ldx) through layer 0 and every hidden layer,
-// carrying S streams: the value alone (S = 1) or the jet (S = 6). Each
-// layer is one S-stream product per register tile with the bias and the
-// activation applied in the write-back; the value pass stores h = f(z).
-// In the jet, layer 0 computes the value product only: its tangents are
-// W0's coordinate columns and its curvatures zero, so the seeds fold into
-// its write-back, and every later layer applies the jet activation. Hidden
-// layer l's streams go to hs[l] (row r, stream m at (r * S + m) * ld_l).
-// With Save (the backward's rerun; the forward passes null ds and zs), the
-// activation derivatives go to ds[l] (row r, derivative e at
-// (r * D + e) * ld_l for the kDerivs<S> = D kept), and in the jet the
-// pre-activation jets of layers l > 0 go to zs[l] (laid out like hs[l]).
+// A tile through layer 0 and every hidden layer, carrying S streams: the
+// value alone (S = 1) or the jet (S = 6). Every layer after layer 0 is one
+// S-stream product per register tile with the bias and the activation
+// applied in the write-back. Hidden layer l's streams go to hs[l] (row r,
+// stream m at (r * S + m) * ld_l). With Save (the backward's rerun; the
+// forward passes null ds and zs), the activation derivatives go to ds[l]
+// (row r, derivative e at (r * D + e) * ld_l for the kDerivs<S> = D kept),
+// and in the jet the pre-activation jets of layers l > 0 go to zs[l]
+// (laid out like hs[l]). Kept out of line, as is backward_tile: inlined
+// into the block loop, the jet's layer products ran at half speed.
 template <class P, Activation A, int S, bool Save>
-void hidden_layers(const Net& net, const float* x, float* const* hs,
-                   float* const* ds, float* const* zs) {
+[[gnu::noinline]] void hidden_layers(const Net& net, const Tile& t,
+                                     float* const* hs, float* const* ds,
+                                     float* const* zs) {
   using V = typename P::V;
   constexpr std::int64_t W = P::kWidth;
   constexpr int D = kDerivs<S>;
   const std::vector<Layer>& layers = net.layers;
-  const Layer& l0 = layers.front();
-  const Cols c0 = cols<P>(l0.out);
-  with_np(c0.np, [&](auto np) {
-    constexpr int NP = decltype(np)::value;
-    layer_pass<P, 1, NP>(
-        x, cols<P>(l0.in).ld, kRows, l0.in, net.fwd[0], c0.panels,
-        [&](int r0, std::int64_t c, auto& acc) {
-          for (int r = 0; r < rows_of(acc); ++r)
-            for (int v = 0; v < NP; ++v) {
-              const std::int64_t col = c + v * W;
-              const V z = acc[r][0][v] + P::load(net.bias[0] + col);
-              float* h = hs[0] + (r0 + r) * S * c0.ld + col;
-              float* d =
-                  Save ? ds[0] + (r0 + r) * D * c0.ld + col : nullptr;
-              if constexpr (S == 1) {
-                act_value<P, A, Save>(z, h, d);
-              } else {
-                V zj[kStreams];
-                layer0_jet<P>(z, net.wc + col, c0.ld, zj);
-                act_jet<P, A>(zj, h, c0.ld, d);
-              }
-            }
-        });
-  });
+  layer0<P, A, S, Save, false>(net, t, hs[0], Save ? ds[0] : nullptr);
   for (std::size_t l = 1; l + 1 < layers.size(); ++l) {
     const Layer& ly = layers[l];
     const Cols cl = cols<P>(ly.out);
+    const std::int64_t ldi = cols<P>(ly.in).ld;
     with_np(cl.np, [&](auto np) {
       constexpr int NP = decltype(np)::value;
       layer_pass<P, S, NP>(
-          hs[l - 1], cols<P>(ly.in).ld, kRows, ly.in, net.fwd[l], cl.panels,
-          [&](int r0, std::int64_t c, auto& acc) {
+          {hs[l - 1], S * ldi, ldi, 1}, kRows, ly.in, net.fwd[l], cl.panels,
+          [&](std::int64_t r0, std::int64_t c, auto& acc) {
             for (int r = 0; r < rows_of(acc); ++r)
               for (int v = 0; v < NP; ++v) {
                 const std::int64_t col = c + v * W;
@@ -627,49 +690,50 @@ void hidden_layers(const Net& net, const float* x, float* const* hs,
 }
 
 // Query b through every layer with S streams: the last hidden layer (for
-// a single-layer decoder, the input, seeded as a jet when S = 6) is
-// blended over the 8 corners and the output layer projects the S blended
-// members once. hs holds an S-stream buffer per hidden layer (distinct
-// for consecutive layers); m and mem hold S members each. Member k goes
-// to outs[k] unless that is null.
+// a decoder without one, layer 0's pre-activation jet) is blended over
+// the 8 corners and the output layer, when it follows a hidden layer,
+// projects the S blended members once. hs holds an S-stream buffer per
+// hidden layer (distinct for consecutive layers); m and mem hold S members
+// each. Member k goes to outs[k] unless that is null.
 template <class P, Activation A, int S>
-void forward_tile(const Grid& g, const float* lc, const float* coords,
-                  std::int64_t b, const Net& net, float* x, float* geo,
-                  float* const* hs, float* m, float* mem,
+void forward_tile(const Grid& g, const float* prows, const float* coords,
+                  std::int64_t b, const Net& net, Tile& t, float* const* hs,
+                  float* m, float* mem,
                   const std::array<float*, kMembers>& outs) {
   constexpr std::int64_t W = P::kWidth;
   const std::vector<Layer>& layers = net.layers;
   const std::size_t L = layers.size();
   const Layer& lo = layers.back();
-  const std::int64_t ldx = cols<P>(layers.front().in).ld;
-  gather(g, lc, coords, b, ldx, x, geo);
-  const float* last = hs[L == 1 ? 0 : L - 2];
-  if (L > 1)
-    hidden_layers<P, A, S, false>(net, x, hs, nullptr, nullptr);
-  else if constexpr (S == 1)
-    last = x;
-  else
-    seed_jet(x, ldx, hs[0]);
-  const std::int64_t ldi = cols<P>(lo.in).ld;
-  blend<P, S>(last, ldi, geo, m);
+  locate_tile(g, prows, cols<P>(layers.front().out).ld, coords, b, t);
   const Cols co = cols<P>(lo.out);
-  with_np(co.np, [&](auto np) {
-    constexpr int NP = decltype(np)::value;
-    layer_pass<P, S, NP, 1>(
-        m, ldi, 1, lo.in, net.fwd[L - 1], co.panels,
-        [&](int, std::int64_t c, auto& acc) {
-          for (int v = 0; v < NP; ++v) {
-            const std::int64_t col = c + v * W;
-            // the output bias reaches the value only
-            P::store(mem + col, acc[0][0][v] + P::load(net.bias[L - 1] + col));
-            for (int k = 1; k < S; ++k)
-              P::store(mem + k * co.ld + col, acc[0][k][v]);
-          }
-        });
-  });
+  const float* res = m;
+  if (L == 1) {
+    layer0<P, A, S, false, true>(net, t, hs[0], nullptr);
+    blend<P, S>(hs[0], co.ld, t.geo, m);
+  } else {
+    hidden_layers<P, A, S, false>(net, t, hs, nullptr, nullptr);
+    const std::int64_t ldi = cols<P>(lo.in).ld;
+    blend<P, S>(hs[L - 2], ldi, t.geo, m);
+    with_np(co.np, [&](auto np) {
+      constexpr int NP = decltype(np)::value;
+      layer_pass<P, S, NP, 1>(
+          {m, S * ldi, ldi, 1}, 1, lo.in, net.fwd[L - 1], co.panels,
+          [&](std::int64_t, std::int64_t c, auto& acc) {
+            for (int v = 0; v < NP; ++v) {
+              const std::int64_t col = c + v * W;
+              // the output bias reaches the value only
+              P::store(mem + col,
+                       acc[0][0][v] + P::load(net.bias[L - 1] + col));
+              for (int k = 1; k < S; ++k)
+                P::store(mem + k * co.ld + col, acc[0][k][v]);
+            }
+          });
+    });
+    res = mem;
+  }
   for (int k = 0; k < S; ++k)
     if (outs[k] != nullptr)
-      std::copy(mem + k * co.ld, mem + k * co.ld + lo.out,
+      std::copy(res + k * co.ld, res + k * co.ld + lo.out,
                 outs[k] + b * lo.out);
 }
 
@@ -679,12 +743,11 @@ void run_forward(const Grid& g, const float* coords,
                  const std::vector<Layer>& layers,
                  const std::array<float*, kMembers>& outs) {
   const std::int64_t total = g.n * g.q;
-  const std::int64_t ldx = cols<P>(layers.front().in).ld;
   const std::int64_t ldmax = widest_ld<P>(layers);
   backend::Workspace& ws0 = backend::local_workspace();
   const backend::Workspace::Mark mark0 = ws0.mark();
   const Net net = make_net<P>(layers, /*backward=*/false, ws0);
-  const float* lc = channels_last(g, ws0);
+  const float* prows = voxel_rows<P>(g, net, ws0);
   parallel_for(
       block_count(g),
       [&](std::int64_t blk0, std::int64_t blk1) {
@@ -693,8 +756,7 @@ void run_forward(const Grid& g, const float* coords,
         auto take = [&ws](std::int64_t floats) {
           return ws.alloc(static_cast<std::size_t>(floats));
         };
-        float* x = padded(nullptr, 0, kRows * ldx, ws);
-        float* geo = take(4 * kRows);
+        Tile t;
         // Two stream buffers, alternating between consecutive layers.
         float* pair[2] = {take(kRows * S * ldmax), take(kRows * S * ldmax)};
         std::vector<float*> hs;
@@ -705,7 +767,7 @@ void run_forward(const Grid& g, const float* coords,
         float* mem = take(S * ldmax);
         const std::int64_t b1 = std::min(blk1 * kBlockQueries, total);
         for (std::int64_t b = blk0 * kBlockQueries; b < b1; ++b)
-          forward_tile<P, A, S>(g, lc, coords, b, net, x, geo, hs.data(), m,
+          forward_tile<P, A, S>(g, prows, coords, b, net, t, hs.data(), m,
                                 mem, outs);
         ws.release(mark);
       },
@@ -716,7 +778,9 @@ void run_forward(const Grid& g, const float* coords,
 // -------------------------------------------------------------- backward --
 
 // Offsets of each layer's weight and bias gradients inside one block's
-// slice of the partial-gradient buffer.
+// slice of the partial-gradient buffer. Layer 0's weight part holds its
+// coordinate columns only, as (out, 3): its latent columns come from the
+// per-voxel adjoint (latent_backward).
 struct GradLayout {
   std::vector<std::int64_t> w, b;
   std::int64_t total = 0;
@@ -724,32 +788,35 @@ struct GradLayout {
 
 GradLayout grad_layout(const std::vector<Layer>& layers) {
   GradLayout gl;
-  for (const Layer& l : layers) {
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const Layer& ly = layers[l];
     gl.w.push_back(gl.total);
-    gl.total += l.out * l.in;
+    gl.total += ly.out * (l == 0 ? 3 : ly.in);
     gl.b.push_back(gl.total);
-    if (l.bias != nullptr) gl.total += l.out;
+    if (ly.bias != nullptr) gl.total += ly.out;
   }
   return gl;
 }
 
-// Per-worker scratch of the backward: the tile's regathered input, blend
-// weights and member gradients, its recomputed hidden streams h[l],
-// activation derivatives d[l] and, in the jet, pre-activation jets z[l]
-// (l > 0), the blended members and their adjoint, two adjoint buffers,
-// and the block's weight, bias and coordinate-column gradient
-// accumulators (rows padded like the layer's input).
+// Per-worker scratch of the backward: the tile and its member gradients,
+// its recomputed hidden streams h[l], activation derivatives d[l] and, in
+// the jet, pre-activation jets z[l] (l > 0), the blended members and their
+// adjoint, two adjoint buffers, and the block's gradient accumulators:
+// layer 0's coordinate columns from its pre-activation adjoint (crel) and,
+// in the jet, from its tangent adjoints (csum), both (3, ld0); the weights
+// of every later layer (rows padded like the layer's input); every bias.
 struct BwdScratch {
-  float *x = nullptr, *geo = nullptr, *gm = nullptr;
+  Tile t;
+  float* gm = nullptr;
   std::vector<float*> h, d, z, accw, accb;
   float *m = nullptr, *mbar = nullptr, *a = nullptr, *b = nullptr;
-  float* csum = nullptr;
+  float *crel = nullptr, *csum = nullptr;
 };
 
 // Query b's tile backward with S streams: the value pass (S = 1) or the
 // jet (S = 6), whose output holds S members of `total` rows each. The
-// forward saves nothing: the tile is regathered and run through the hidden
-// layers again, keeping every stream set, activation derivative and (jet)
+// forward saves nothing: the tile is relocated and run through the layers
+// again, keeping every stream set, activation derivative and (jet)
 // pre-activation jet. Then the output layer's weight gradient from the
 // blended members and its input adjoint, the blend adjoint to every
 // corner, then per hidden layer from the top: the activation adjoint,
@@ -761,34 +828,32 @@ struct BwdScratch {
 //   kappabar_m = f' cbar_m
 //
 // (fused into the write-back of the product that produced hbar), the
-// weight-gradient partial and the input-gradient product. In the jet,
-// layer 0's folded tangent seeds turn its tangent and curvature adjoints
-// into gradients of W0's coordinate columns (s.csum). With xbar, the
-// adjoint of the tile's latent inputs goes there (row j at j * ldc).
+// weight-gradient partial and the input-gradient product. Without a hidden
+// layer the blend adjoint is layer 0's pre-activation adjoint itself. In
+// the jet, layer 0's folded tangent seeds turn its tangent and curvature
+// adjoints into gradients of W0's coordinate columns (s.csum). Layer 0's
+// value pre-activation adjoint zbar0 goes to zb0 (row j at j * ld0), and
+// its rows give the coordinate columns' gradient (s.crel) and the bias
+// gradient as row sums; latent_backward takes it on per voxel.
 template <class P, Activation A, int S>
-void backward_tile(const Grid& g, const float* lc, const float* coords,
-                   std::int64_t b, std::int64_t total, const Net& net,
-                   const float* grad, BwdScratch& s, float* xbar) {
+[[gnu::noinline]] void backward_tile(const Grid& g, const float* prows,
+                                     const float* coords, std::int64_t b,
+                                     std::int64_t total, const Net& net,
+                                     const float* grad, BwdScratch& s,
+                                     float* zb0) {
   using V = typename P::V;
   constexpr std::int64_t W = P::kWidth;
   constexpr int D = kDerivs<S>;
   const std::vector<Layer>& layers = net.layers;
   const std::size_t L = layers.size();
-  const Layer& l0 = layers.front();
   const Layer& lo = layers.back();
-  const std::int64_t ldx = cols<P>(l0.in).ld, ld0 = cols<P>(l0.out).ld;
-  const std::int64_t ldo = cols<P>(lo.out).ld, ldi = cols<P>(lo.in).ld;
-  const std::int64_t ldc = cols<P>(g.c).ld;
-  gather(g, lc, coords, b, ldx, s.x, s.geo);
-
-  const float* last = s.h[L == 1 ? 0 : L - 2];
+  const std::int64_t ld0 = cols<P>(layers.front().out).ld;
+  const std::int64_t ldo = cols<P>(lo.out).ld;
+  Tile& t = s.t;
+  locate_tile(g, prows, ld0, coords, b, t);
   if (L > 1)
-    hidden_layers<P, A, S, true>(net, s.x, s.h.data(), s.d.data(),
+    hidden_layers<P, A, S, true>(net, t, s.h.data(), s.d.data(),
                                  s.z.data());
-  else if constexpr (S == 1)
-    last = s.x;
-  else
-    seed_jet(s.x, ldx, s.h[0]);
 
   // Adjoint hb of hidden layer l's output streams at row r, columns c..
   // into that of its pre-activation, zbar, into dst. In the jet, layer 0
@@ -836,103 +901,222 @@ void backward_tile(const Grid& g, const float* lc, const float* coords,
     }
   };
 
-  // Output layer: weight and bias gradients against the blended members,
-  // then the members' adjoint (over the latent columns only when the
-  // output layer is layer 0).
   for (int m = 0; m < S; ++m) {
     float* gm = s.gm + m * ldo;
     for (std::int64_t o = 0; o < ldo; ++o)
       gm[o] = o < lo.out ? grad[(m * total + b) * lo.out + o] : 0.0f;
   }
-  blend<P, S>(last, ldi, s.geo, s.m);
-  wgrad<P, S>(s.gm, ldo, lo.out, s.m, lo.in, 1, s.accw[L - 1]);
-  row_sums<P>(s.gm, S, ldo, 1, s.accb[L - 1]);
-  const Cols cm = cols<P>(L == 1 ? g.c : lo.in);
-  with_np(cm.np, [&](auto np) {
-    constexpr int NP = decltype(np)::value;
-    layer_pass<P, S, NP, 1>(
-        s.gm, ldo, 1, lo.out, net.bwd[L - 1], cm.panels,
-        [&](int, std::int64_t c, auto& acc) {
-          for (int m = 0; m < S; ++m)
-            for (int v = 0; v < NP; ++v)
-              P::store(s.mbar + m * cm.ld + c + v * W, acc[0][m][v]);
-        });
-  });
-
-  // Blend adjoint to every corner, then the last hidden layer's
-  // activation adjoint; a single-layer decoder's latent adjoint directly.
-  for (int r = 0; r < kRows; ++r)
-    for (std::int64_t c = 0; c < cm.ld; c += W) {
-      V mb[S], hb[S];
-      for (int m = 0; m < S; ++m) mb[m] = P::load(s.mbar + m * cm.ld + c);
-      blend_adjoint<P, S>(mb, s.geo + 4 * r, hb);
-      if (L == 1) {
-        if (xbar != nullptr) P::store(xbar + r * ldc + c, hb[0]);
-      } else {
-        act_adjoint(L - 2, r, c, hb, s.a);
+  if (L == 1) {
+    // The members' adjoint blended back to every corner is layer 0's
+    // pre-activation adjoint; its tangents are W0's coordinate columns.
+    for (int r = 0; r < kRows; ++r)
+      for (std::int64_t c = 0; c < ld0; c += W) {
+        V mb[S], hb[S];
+        for (int m = 0; m < S; ++m) mb[m] = P::load(s.gm + m * ld0 + c);
+        blend_adjoint<P, S>(mb, t.geo + 4 * r, hb);
+        P::store(zb0 + r * ld0 + c, hb[0]);
+        if constexpr (S == kStreams)
+          for (int k = 0; k < 3; ++k) {
+            float* cs = s.csum + k * ld0 + c;
+            P::store(cs, P::load(cs) + hb[1 + k]);
+          }
       }
-    }
-  if (L == 1) return;
-
-  float* cur = s.a;
-  float* nxt = s.b;
-  // cur holds the adjoint of layer l's pre-activation streams.
-  for (std::size_t l = L - 2; l >= 1; --l) {
-    const Layer& ly = layers[l];
-    const std::int64_t ldl = cols<P>(ly.out).ld;
-    const Cols ci = cols<P>(ly.in);
-    wgrad<P, S>(cur, ldl, ly.out, s.h[l - 1], ly.in, kRows, s.accw[l]);
-    row_sums<P>(cur, S, ldl, kRows, s.accb[l]);
-    with_np(ci.np, [&](auto np) {
+  } else {
+    // Output layer: weight and bias gradients against the blended
+    // members, then the members' adjoint.
+    const std::int64_t ldi = cols<P>(lo.in).ld;
+    blend<P, S>(s.h[L - 2], ldi, t.geo, s.m);
+    wgrad<P, S>(s.gm, ldo, lo.out, s.m, lo.in, 1, s.accw[L - 1]);
+    row_sums<P>(s.gm, S, ldo, 1, s.accb[L - 1]);
+    const Cols cm = cols<P>(lo.in);
+    with_np(cm.np, [&](auto np) {
       constexpr int NP = decltype(np)::value;
-      layer_pass<P, S, NP>(
-          cur, ldl, kRows, ly.out, net.bwd[l], ci.panels,
-          [&](int r0, std::int64_t c, auto& acc) {
-            for (int r = 0; r < rows_of(acc); ++r)
-              for (int v = 0; v < NP; ++v) {
-                V hb[S];
-                for (int m = 0; m < S; ++m) hb[m] = acc[r][m][v];
-                act_adjoint(l - 1, r0 + r, c + v * W, hb, nxt);
-              }
+      layer_pass<P, S, NP, 1>(
+          {s.gm, S * ldo, ldo, 1}, 1, lo.out, net.bwd[L - 1], cm.panels,
+          [&](std::int64_t, std::int64_t c, auto& acc) {
+            for (int m = 0; m < S; ++m)
+              for (int v = 0; v < NP; ++v)
+                P::store(s.mbar + m * cm.ld + c + v * W, acc[0][m][v]);
           });
     });
-    std::swap(cur, nxt);
+
+    // Blend adjoint to every corner, then the last hidden layer's
+    // activation adjoint.
+    for (int r = 0; r < kRows; ++r)
+      for (std::int64_t c = 0; c < cm.ld; c += W) {
+        V mb[S], hb[S];
+        for (int m = 0; m < S; ++m) mb[m] = P::load(s.mbar + m * cm.ld + c);
+        blend_adjoint<P, S>(mb, t.geo + 4 * r, hb);
+        act_adjoint(L - 2, r, c, hb, L == 2 ? zb0 : s.a);
+      }
+
+    float* cur = s.a;
+    float* nxt = s.b;
+    // cur holds the adjoint of layer l's pre-activation streams.
+    for (std::size_t l = L - 2; l >= 1; --l) {
+      const Layer& ly = layers[l];
+      const std::int64_t ldl = cols<P>(ly.out).ld;
+      const Cols ci = cols<P>(ly.in);
+      float* dst = l == 1 ? zb0 : nxt;
+      wgrad<P, S>(cur, ldl, ly.out, s.h[l - 1], ly.in, kRows, s.accw[l]);
+      row_sums<P>(cur, S, ldl, kRows, s.accb[l]);
+      with_np(ci.np, [&](auto np) {
+        constexpr int NP = decltype(np)::value;
+        layer_pass<P, S, NP>(
+            {cur, S * ldl, ldl, 1}, kRows, ly.out, net.bwd[l], ci.panels,
+            [&](std::int64_t r0, std::int64_t c, auto& acc) {
+              for (int r = 0; r < rows_of(acc); ++r)
+                for (int v = 0; v < NP; ++v) {
+                  V hb[S];
+                  for (int m = 0; m < S; ++m) hb[m] = acc[r][m][v];
+                  act_adjoint(l - 1, static_cast<int>(r0) + r, c + v * W, hb,
+                              dst);
+                }
+            });
+      });
+      std::swap(cur, nxt);
+    }
   }
-  // cur now holds zbar0, layer 0's value pre-activation adjoint.
-  wgrad<P, 1>(cur, ld0, l0.out, s.x, l0.in, kRows, s.accw.front());
-  row_sums<P>(cur, 1, ld0, kRows, s.accb.front());
-  if (xbar == nullptr) return;
-  const Cols cc = cols<P>(g.c);
-  with_np(cc.np, [&](auto np) {
-    constexpr int NP = decltype(np)::value;
-    layer_pass<P, 1, NP>(
-        cur, ld0, kRows, l0.out, net.bwd[0], cc.panels,
-        [&](int r0, std::int64_t c, auto& acc) {
-          for (int r = 0; r < rows_of(acc); ++r)
-            for (int v = 0; v < NP; ++v)
-              P::store(xbar + (r0 + r) * ldc + c + v * W, acc[r][0][v]);
-        });
-  });
+
+  // zb0 now holds zbar0, layer 0's value pre-activation adjoint. Its row
+  // sums give the bias gradient and, weighted by the rows' coordinates,
+  // the gradient of W0's coordinate columns.
+  float* ab0 = s.accb.front();
+  for (std::int64_t c = 0; c < ld0; c += W) {
+    V at = P::load(s.crel + c), az = P::load(s.crel + ld0 + c),
+      ax = P::load(s.crel + 2 * ld0 + c), ab = P::load(ab0 + c);
+    for (int r = 0; r < kRows; ++r) {
+      const V zb = P::load(zb0 + r * ld0 + c);
+      ab = ab + zb;
+      at = P::fma(P::set1(t.rel[r][0]), zb, at);
+      az = P::fma(P::set1(t.rel[r][1]), zb, az);
+      ax = P::fma(P::set1(t.rel[r][2]), zb, ax);
+    }
+    P::store(s.crel + c, at);
+    P::store(s.crel + ld0 + c, az);
+    P::store(s.crel + 2 * ld0 + c, ax);
+    P::store(ab0 + c, ab);
+  }
 }
 
-// Backward of the S-stream pass over every block: block blk's weight and
-// bias gradients go to partials + blk * gl.total and, when xbar is not
-// null, query b's latent-input adjoint to xbar + b * 8 * ldc (corner j at
-// j * ldc).
+// W0's latent-column gradient from one sample: acc[ch * ld + o] = the sum
+// over its voxels v, in order, of z[ch * slab + v] * gv[v * ld + o] for
+// the c channels of its latent z and every column o of ld (whole
+// vectors) of its per-voxel adjoint gv. Register tiles of 8 channels.
+template <class P>
+void latent_wgrad(const float* z, std::int64_t c, std::int64_t slab,
+                  const float* gv, std::int64_t ld, float* acc) {
+  using V = typename P::V;
+  constexpr int NC = 8;
+  for (std::int64_t o = 0; o < ld; o += P::kWidth)
+    for (std::int64_t ch0 = 0; ch0 < c; ch0 += NC) {
+      // a ragged channel tile repeats the last channel and drops it
+      const float* zc[NC];
+      for (int i = 0; i < NC; ++i)
+        zc[i] = z + std::min<std::int64_t>(ch0 + i, c - 1) * slab;
+      V a[NC];
+      for (V& x : a) x = P::set1(0.0f);
+      for (std::int64_t v = 0; v < slab; ++v) {
+        const V g = P::load(gv + v * ld + o);
+        for (int i = 0; i < NC; ++i) a[i] = P::fma(P::set1(zc[i][v]), g, a[i]);
+      }
+      for (int i = 0; i < NC && ch0 + i < c; ++i)
+        P::store(acc + (ch0 + i) * ld + o, a[i]);
+    }
+}
+
+// The latent half of layer 0's backward, per sample (latent slabs are
+// disjoint): its queries' zbar0 rows (query b's corner j at
+// (b * 8 + j) * ld0) summed per voxel into G, over queries and then
+// corners in order, then the latent gradient W0_lat^T G added into glat,
+// and the sample's part of W0's latent-column gradient, G z^T. Those
+// parts are added into W0's (out, in) gradient w0grad in sample order. A
+// null glat or w0grad skips that product.
+template <class P>
+void latent_backward(const Grid& g, const float* coords, const Net& net,
+                     const float* zrows, float* glat, float* w0grad,
+                     backend::Workspace& ws0) {
+  constexpr std::int64_t W = P::kWidth;
+  const Layer& l0 = net.layers.front();
+  const std::int64_t slab = slab_of(g), ld0 = cols<P>(l0.out).ld;
+  const Cols cc = cols<P>(g.c);
+  float* wlat = w0grad == nullptr
+                    ? nullptr
+                    : ws0.alloc(static_cast<std::size_t>(g.n * l0.out * g.c));
+  parallel_for(
+      g.n,
+      [&](std::int64_t n0, std::int64_t n1) {
+        backend::Workspace& ws = backend::local_workspace();
+        const backend::Workspace::Mark mark = ws.mark();
+        float* gv = ws.alloc(static_cast<std::size_t>(slab * ld0));
+        float* xl = ws.alloc(static_cast<std::size_t>(slab * cc.ld));
+        float* acc = ws.alloc(static_cast<std::size_t>(g.c * ld0));
+        for (std::int64_t n = n0; n < n1; ++n) {
+          std::fill(gv, gv + slab * ld0, 0.0f);
+          for (std::int64_t b = n * g.q; b < (n + 1) * g.q; ++b) {
+            const Cell cell = locate(g, coords, b);
+            for (int j = 0; j < kRows; ++j) {
+              const float* src = zrows + (b * kRows + j) * ld0;
+              float* dst = gv + (cell.voxel + corner_offset(g, j)) * ld0;
+              for (std::int64_t o = 0; o < ld0; ++o) dst[o] += src[o];
+            }
+          }
+          const float* z = g.latent + n * g.c * slab;
+          if (wlat != nullptr) {
+            latent_wgrad<P>(z, g.c, slab, gv, ld0, acc);
+            float* wn = wlat + n * l0.out * g.c;
+            for (std::int64_t o = 0; o < l0.out; ++o)
+              for (std::int64_t ch = 0; ch < g.c; ++ch)
+                wn[o * g.c + ch] = acc[ch * ld0 + o];
+          }
+          if (glat == nullptr) continue;
+          with_np(cc.np, [&](auto np) {
+            constexpr int NP = decltype(np)::value;
+            rows_pass<P, NP>(
+                {gv, ld0, 0, 1}, slab, l0.out, net.bwd[0], cc.panels,
+                [&](std::int64_t r0, std::int64_t c, auto& a) {
+                  for (int r = 0; r < rows_of(a); ++r)
+                    for (int v = 0; v < NP; ++v)
+                      P::store(xl + (r0 + r) * cc.ld + c + v * W, a[r][0][v]);
+                });
+          });
+          for (std::int64_t ch = 0; ch < g.c; ++ch) {
+            float* dst = glat + (n * g.c + ch) * slab;
+            for (std::int64_t v = 0; v < slab; ++v)
+              dst[v] += xl[v * cc.ld + ch];
+          }
+        }
+        ws.release(mark);
+      },
+      /*grain=*/1);
+  if (w0grad == nullptr) return;
+  for (std::int64_t o = 0; o < l0.out; ++o)
+    for (std::int64_t ch = 0; ch < g.c; ++ch) {
+      float acc = 0.0f;
+      for (std::int64_t n = 0; n < g.n; ++n)
+        acc += wlat[(n * l0.out + o) * g.c + ch];
+      w0grad[o * l0.in + 3 + ch] += acc;
+    }
+}
+
+// Backward of the S-stream pass: over every block, block blk's gradients
+// go to partials + blk * gl.total and query b's zbar0 rows to a per-call
+// buffer; then latent_backward's per-sample pass adds the latent gradient
+// into glat and W0's latent columns' into w0grad (either may be null).
 template <class P, Activation A, int S>
 void run_backward(const Grid& g, const float* coords,
                   const std::vector<Layer>& layers, const float* grad,
-                  const GradLayout& gl, float* partials, float* xbar) {
+                  const GradLayout& gl, float* partials, float* glat,
+                  float* w0grad) {
   const std::int64_t total = g.n * g.q;
   const std::size_t L = layers.size();
-  const std::int64_t ldx = cols<P>(layers.front().in).ld;
   const std::int64_t ld0 = cols<P>(layers.front().out).ld;
-  const std::int64_t ldc = cols<P>(g.c).ld;
   const std::int64_t ldmax = widest_ld<P>(layers);
   backend::Workspace& ws0 = backend::local_workspace();
   const backend::Workspace::Mark mark0 = ws0.mark();
   const Net net = make_net<P>(layers, /*backward=*/true, ws0);
-  const float* lc = channels_last(g, ws0);
+  const float* prows = voxel_rows<P>(g, net, ws0);
+  float* zrows = ws0.alloc(static_cast<std::size_t>(total * kRows * ld0));
   parallel_for(
       block_count(g),
       [&](std::int64_t blk0, std::int64_t blk1) {
@@ -942,8 +1126,6 @@ void run_backward(const Grid& g, const float* coords,
           return ws.alloc(static_cast<std::size_t>(floats));
         };
         BwdScratch s;
-        s.x = padded(nullptr, 0, kRows * ldx, ws);
-        s.geo = take(4 * kRows);
         s.gm = take(S * ldmax);
         for (std::size_t l = 0; l + 1 < std::max<std::size_t>(L, 2); ++l) {
           s.h.push_back(take(kRows * S * ldmax));
@@ -954,46 +1136,54 @@ void run_backward(const Grid& g, const float* coords,
         s.mbar = take(S * ldmax);
         s.a = take(kRows * S * ldmax);
         s.b = take(kRows * S * ldmax);
-        std::int64_t acc_floats = 3 * ld0;
-        for (const Layer& l : layers)
-          acc_floats += l.out * cols<P>(l.in).ld + cols<P>(l.out).ld;
+        // Layer 0 keeps crel and csum in place of a weight accumulator.
+        auto wfloats = [&](std::size_t l) {
+          return l == 0 ? 0 : layers[l].out * cols<P>(layers[l].in).ld;
+        };
+        std::int64_t acc_floats = 6 * ld0;
+        for (std::size_t l = 0; l < L; ++l)
+          acc_floats += wfloats(l) + cols<P>(layers[l].out).ld;
         float* accs = take(acc_floats);
-        s.csum = accs;
-        float* p = accs + 3 * ld0;
-        for (const Layer& l : layers) {
-          s.accw.push_back(p);
-          p += l.out * cols<P>(l.in).ld;
+        s.crel = accs;
+        s.csum = accs + 3 * ld0;
+        float* p = accs + 6 * ld0;
+        for (std::size_t l = 0; l < L; ++l) {
+          s.accw.push_back(l == 0 ? nullptr : p);
+          p += wfloats(l);
           s.accb.push_back(p);
-          p += cols<P>(l.out).ld;
+          p += cols<P>(layers[l].out).ld;
         }
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           std::fill(accs, accs + acc_floats, 0.0f);
           const std::int64_t b0 = blk * kBlockQueries;
           const std::int64_t b1 = std::min(b0 + kBlockQueries, total);
           for (std::int64_t b = b0; b < b1; ++b)
-            backward_tile<P, A, S>(
-                g, lc, coords, b, total, net, grad, s,
-                xbar == nullptr ? nullptr : xbar + b * kRows * ldc);
+            backward_tile<P, A, S>(g, prows, coords, b, total, net, grad, s,
+                                   zrows + b * kRows * ld0);
           // The block's accumulators, unpadded, are its partials.
           float* part = partials + blk * gl.total;
           for (std::size_t l = 0; l < L; ++l) {
             const Layer& ly = layers[l];
-            const std::int64_t ldi = cols<P>(ly.in).ld;
-            for (std::int64_t o = 0; o < ly.out; ++o)
-              std::copy(s.accw[l] + o * ldi, s.accw[l] + o * ldi + ly.in,
-                        part + gl.w[l] + o * ly.in);
+            if (l == 0) {
+              for (std::int64_t o = 0; o < ly.out; ++o)
+                for (int k = 0; k < 3; ++k)
+                  part[gl.w[0] + o * 3 + k] =
+                      S == kStreams ? s.crel[k * ld0 + o] + s.csum[k * ld0 + o]
+                                    : s.crel[k * ld0 + o];
+            } else {
+              const std::int64_t ldi = cols<P>(ly.in).ld;
+              for (std::int64_t o = 0; o < ly.out; ++o)
+                std::copy(s.accw[l] + o * ldi, s.accw[l] + o * ldi + ly.in,
+                          part + gl.w[l] + o * ly.in);
+            }
             if (ly.bias != nullptr)
               std::copy(s.accb[l], s.accb[l] + ly.out, part + gl.b[l]);
           }
-          if constexpr (S == kStreams)
-            for (std::int64_t o = 0; o < layers.front().out; ++o)
-              for (int k = 0; k < 3; ++k)
-                part[gl.w[0] + o * layers.front().in + k] +=
-                    s.csum[k * ld0 + o];
         }
         ws.release(mark);
       },
       /*grain=*/1);
+  latent_backward<P>(g, coords, net, zrows, glat, w0grad, ws0);
   ws0.release(mark0);
 }
 
@@ -1010,37 +1200,19 @@ void reduce_blocks_into(const float* partials, std::int64_t nblocks,
   }
 }
 
-// Adds the latent-input adjoint (row j of query b at (b * 8 + j) * ldc)
-// into the latent gradient: per sample, whose latent slabs are disjoint,
-// summed channels-last over its queries and corners in a fixed order, then
-// added in.
-void scatter_latent(const Grid& g, const float* coords, const float* xbar,
-                    std::int64_t ldc, float* glat) {
-  const std::int64_t slab = g.lt * g.lz * g.lx;
-  parallel_for(
-      g.n,
-      [&](std::int64_t n0, std::int64_t n1) {
-        backend::Workspace& ws = backend::local_workspace();
-        const backend::Workspace::Mark mark = ws.mark();
-        float* acc = ws.alloc(static_cast<std::size_t>(slab * g.c));
-        for (std::int64_t n = n0; n < n1; ++n) {
-          std::fill(acc, acc + slab * g.c, 0.0f);
-          for (std::int64_t b = n * g.q; b < (n + 1) * g.q; ++b) {
-            const Cell cell = locate(g, coords, b);
-            for (int j = 0; j < kRows; ++j) {
-              const float* src = xbar + (b * kRows + j) * ldc;
-              float* dst = acc + (cell.voxel + corner_offset(g, j)) * g.c;
-              for (std::int64_t c = 0; c < g.c; ++c) dst[c] += src[c];
-            }
-          }
-          for (std::int64_t c = 0; c < g.c; ++c) {
-            float* dst = glat + (n * g.c + c) * slab;
-            for (std::int64_t v = 0; v < slab; ++v) dst[v] += acc[v * g.c + c];
-          }
-        }
-        ws.release(mark);
-      },
-      /*grain=*/1);
+// Adds W0's coordinate-column gradient, held by partials as (out, 3) at
+// gl.w[0], into its (out, in) gradient grad, summed over blocks in block
+// order.
+void reduce_coord_columns_into(const float* partials, std::int64_t nblocks,
+                               const GradLayout& gl, const Layer& l0,
+                               float* grad) {
+  for (std::int64_t o = 0; o < l0.out; ++o)
+    for (int k = 0; k < 3; ++k) {
+      float acc = 0.0f;
+      for (std::int64_t blk = 0; blk < nblocks; ++blk)
+        acc += partials[blk * gl.total + gl.w[0] + o * 3 + k];
+      grad[o * l0.in + k] += acc;
+    }
 }
 
 }  // namespace
@@ -1126,26 +1298,23 @@ ad::Var decode_node(const ad::Var& latent, const Tensor& coords,
         const jet::GradLayout gl = jet::grad_layout(ls);
         const std::int64_t nblocks = jet::block_count(grid);
         ad::Node& lat = *n.parents[0];
-        // The backward regathers the layer-0 inputs from the latent.
+        ad::Node& w0 = *n.parents[wslot[0]];
+        // The backward recomputes layer 0's per-voxel term from the latent.
         jet::Grid g = grid;
         g.latent = lat.value.data();
         Tensor partials = Tensor::uninitialized(Shape{nblocks * gl.total});
         jet::dispatch(vec, act, [&](auto lanes, auto tag) {
-          using P = decltype(lanes);
-          const std::int64_t ldc = jet::cols<P>(g.c).ld;
-          Tensor xbar;
-          if (lat.requires_grad)
-            xbar = Tensor::uninitialized(Shape{g.n * g.q * jet::kRows * ldc});
-          jet::run_backward<P, decltype(tag)::value, S>(
-              g, geometry.data(), ls, n.grad.data(), gl,
-              partials.data(), lat.requires_grad ? xbar.data() : nullptr);
-          if (lat.requires_grad)
-            jet::scatter_latent(g, geometry.data(), xbar.data(), ldc,
-                                lat.ensure_grad().data());
+          jet::run_backward<decltype(lanes), decltype(tag)::value, S>(
+              g, geometry.data(), ls, n.grad.data(), gl, partials.data(),
+              lat.requires_grad ? lat.ensure_grad().data() : nullptr,
+              w0.requires_grad ? w0.ensure_grad().data() : nullptr);
         });
         for (std::size_t l = 0; l < ls.size(); ++l) {
           ad::Node& w = *n.parents[wslot[l]];
-          if (w.requires_grad)
+          if (w.requires_grad && l == 0)
+            jet::reduce_coord_columns_into(partials.data(), nblocks, gl, ls[0],
+                                           w.ensure_grad().data());
+          else if (w.requires_grad)
             jet::reduce_blocks_into(partials.data(), nblocks, gl.total,
                                     gl.w[l], ls[l].out * ls[l].in,
                                     w.ensure_grad().data());

@@ -10,17 +10,23 @@
 //
 // decode_jet() runs that computation as ONE autodiff node with a
 // hand-written backward, on one fused small-MLP kernel. A tile is one
-// query's 8 corner rows; it is gathered once and carried through every
-// layer. Activations are row-major with the features in column panels of
-// one or two SIMD vectors (up to 32 columns per panel on AVX-512, 16 on
-// AVX2, 8 on SSE2, 2 on the scalar lanes), padded to whole panels, so
-// every width runs the same kernel. Each layer product is a register tile
-// of rows x streams x panel vectors that stays in registers over the whole
-// input dimension, against a per-call weight panel small enough for L1:
+// query's 8 corner rows, carried through every layer. Activations are
+// row-major with the features in column panels of one or two SIMD vectors
+// (up to 32 columns per panel on AVX-512, 16 on AVX2, 8 on SSE2, 2 on the
+// scalar lanes), padded to whole panels, so every width runs the same
+// kernel. Each layer product is a register tile of rows x streams x panel
+// vectors that stays in registers over the whole input dimension, against
+// a per-call weight panel small enough for L1:
 //
-//   gather      [coords | latent] rows (the latent copied channels-last
-//               once per call) and the w / dw blend weights
-//   layer 0     the value product only: the tangent of stream k is column
+//   per voxel   layer 0 is W0 [rel; z] + b0 = W0_rel rel + (W0_lat z + b0),
+//               and the second term depends only on the latent voxel: once
+//               per call, one product per sample gives every voxel's row
+//               P = W0_lat z + b0, channels-last
+//   tile        each corner's voxel row of P, its 3 coordinates relative
+//               to the corner and the w / dw blend weights
+//   layer 0     per output vector, the 8 rows' pre-activations P row +
+//               rel . W0's coordinate columns (3 FMAs), then their
+//               activations; in the jet the tangent of stream k is column
 //               k of W0 and the curvatures are zero, so the seeds fold
 //               into the write-back
 //   layer l>0   one 6-stream product; bias and the jet activation
@@ -28,30 +34,38 @@
 //               in the write-back
 //   blend       value = sum w h, d/dk = sum dw_k h + w t_k,
 //               d2/dk2 = sum 2 dw_k t_k + w c_k over the last hidden jet
+//               (without a hidden layer, over layer 0's pre-activation
+//               jet, which is then the output)
 //   output      the linear output layer projects the six blended members
 //               once per query, which equals blending 8 projected corners
 //
-// The forward saves nothing. The backward walks the same tiles: it
-// regathers a tile and reruns its hidden layers, keeping every jet,
-// pre-activation jet and activation derivative, then computes the output
-// layer's weight gradient against the blended members and its input
-// adjoint, the blend adjoint to every corner, and per hidden layer from
-// the top the activation adjoint (fused into the write-back of the
-// product that made its input adjoint), the weight-gradient partial and
-// the input-gradient product:
+// The forward saves nothing. The backward recomputes P and walks the same
+// tiles: it reruns a tile's layers, keeping every jet, pre-activation jet
+// and activation derivative, then computes the output layer's weight
+// gradient against the blended members and its input adjoint, the blend
+// adjoint to every corner, and per hidden layer from the top the
+// activation adjoint (fused into the write-back of the product that made
+// its input adjoint), the weight-gradient partial and the input-gradient
+// product:
 //
 //   zbar       = f' hbar + f'' (sum_k tau_k tbar_k + sum_m kappa_m cbar_m)
 //                + f''' sum_m tau_m^2 cbar_m
 //   taubar_k   = f' tbar_k  (+ 2 f'' tau_k cbar_k for k in {z, x})
 //   kappabar_m = f' cbar_m
 //
-// where f', f'', f''' are taken at the pre-activation z. Layer 0's
-// tangent-column gradients are row sums. Work is carved into fixed blocks
-// of kBlockQueries queries. A block's weight gradients accumulate in
-// query order, blocks are reduced in block order, and the latent gradient
-// is summed per sample in query order, so every member and gradient is
-// bit-identical at every MFN_NUM_THREADS. The backward takes the
-// forward's lane type (vector or scalar).
+// where f', f'', f''' are taken at the pre-activation z. Layer 0 ends at
+// its value pre-activation adjoint zbar0, one row per corner. Its row sums
+// give the bias gradient and, weighted by the rows' coordinates, the
+// gradient of W0's coordinate columns; in the jet those columns also take
+// the tangent adjoints' row sums. Then, per sample, the zbar0 rows are
+// summed per voxel into G, in query order, and G gives the rest: W0's
+// latent columns' gradient G Z^T and the latent gradient W0_lat^T G. Work
+// is carved into fixed blocks of kBlockQueries queries. A block's weight
+// gradients accumulate in query order, blocks are reduced in block order,
+// and G and the latent columns' gradient are summed in query and sample
+// order, so every member and gradient is bit-identical at every
+// MFN_NUM_THREADS. The backward takes the forward's lane type (vector or
+// scalar).
 //
 // The value pass carries one stream through the same tile kernels,
 // register tiles and blocks: each layer's product with bias and f(z) in
@@ -59,15 +73,15 @@
 // output projection per query. Its value equals the bundle's value member
 // bit for bit on the vector lanes. decode_value() runs it as a tape node
 // whose backward is the bundle's with one stream: per tile it reruns the
-// hidden layers keeping f', takes the output layer's weight gradient
-// against the blended last hidden value, the blend adjoint, zbar = f' hbar
-// in the write-back, and each layer's weight-gradient partial and input
-// gradient, on the same blocks and reductions, so its gradients are
-// bit-identical at every MFN_NUM_THREADS too. ContinuousDecoder::decode
-// runs decode_value() with or without a tape (gamma = 0 training and
-// no-grad evaluation alike), the fp32 DecodePlan::execute (serving
-// replay) runs jet::forward's value pass, and
-// DecodePlan::execute_derivatives its six-member forward. Every query's
+// layers keeping f', takes the output layer's weight gradient against
+// the blended last hidden value, the blend adjoint, zbar = f' hbar in the
+// write-back, each layer's weight-gradient partial and input gradient,
+// and layer 0's row and per-voxel sums, on the same blocks and
+// reductions, so its gradients are bit-identical at every MFN_NUM_THREADS
+// too. ContinuousDecoder::decode runs decode_value() with or without a
+// tape (gamma = 0 training and no-grad evaluation alike), the fp32
+// DecodePlan::execute (serving replay) runs jet::forward's value pass,
+// and DecodePlan::execute_derivatives its six-member forward. Every query's
 // result depends only on its coordinates, its latent sample and the
 // weights, so how queries are batched never changes a bit.
 #pragma once

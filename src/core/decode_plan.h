@@ -13,16 +13,20 @@
 //
 //  - DecodePlan: the decode for one concrete (snapshot version, N, Q,
 //    grid, precision) shape. An fp32 plan runs the fused decoder kernel's
-//    value pass (core/decode_jet.h) over the snapshot's weights: any
-//    width, within 1e-5 of the tape reference decoder (the MLP's tape ops
-//    over gathered corner rows, tests/tape_decoder.h) relative to its
-//    largest entry, and bitwise equal to ContinuousDecoder::decode, which
-//    runs the same pass over the live MLP. A bf16 or int8 plan lowers the
-//    decode into a flat backend::PlanProgram — fused corner gather,
-//    reduced-precision prepacked GEMMs, activations, trilinear blend —
-//    over fixed float offsets carved from the executing thread's
-//    workspace arena, and matches the tape only within its tier's error
-//    bound. Replay does no graph traversal and no heap allocation beyond
+//    value pass (core/decode_jet.h) over the snapshot's weights: layer 0's
+//    per-voxel term W0_lat z + b0 computed once per replay for every voxel
+//    of the latent, then per corner row that voxel's row plus three FMAs,
+//    the hidden layers, the blend and one output projection per query. It
+//    takes any width, stays within 1e-5 of the tape reference decoder (the
+//    MLP's tape ops over gathered corner rows, tests/tape_decoder.h)
+//    relative to its largest entry, and is bitwise equal to
+//    ContinuousDecoder::decode, which runs the same pass over the live
+//    MLP. Nothing per voxel is cached between replays. A bf16 or int8
+//    plan lowers the decode into a flat backend::PlanProgram — fused
+//    corner gather, reduced-precision prepacked GEMMs, activations,
+//    trilinear blend — over fixed float offsets carved from the executing
+//    thread's workspace arena, and matches the tape only within its
+//    tier's error bound. Replay does no graph traversal and no heap allocation beyond
 //    the output tensor, and output bits do not depend on MFN_NUM_THREADS.
 //
 // The serving layer compiles once per shape into a PlanCache LRU against

@@ -94,6 +94,8 @@ Tensor sum_axis0(const Tensor& a);
 // back to these under simd::force_scalar(); the parity tests in
 // tests/test_simd_kernels.cpp compare against them directly.
 namespace scalar_ref {
+/// log(1 + u) for u in [0, 1]: the log1p of every softplus.
+void log1p(const float* u, float* y, std::int64_t n);
 void softplus(const float* x, float* y, std::int64_t n);
 void sigmoid(const float* x, float* y, std::int64_t n);
 void tanh(const float* x, float* y, std::int64_t n);

@@ -6,11 +6,13 @@
 // bias, for softplus, tanh and ReLU over decoder widths that are ragged
 // against every SIMD tier, wider than one column panel, or a single
 // output, and over several query shapes, on the vector and the scalar
-// lanes, and for a decoder without a hidden layer. Also: the value pass
-// against the bundle's value member and against decode()'s recorded
-// value; bitwise equality of a serial and a pooled run of either node; a
-// warmed step of either node that never reaches the heap; and rejection
-// of non-finite coordinates.
+// lanes, and for a decoder without a hidden layer; also on a grid with
+// more voxels than the queries' corners reach and at queries on the grid's
+// faces, where layer 0's per-voxel rows and their gradient sums must pick
+// the voxels the tape picks. Also: the value pass against the bundle's
+// value member and against decode()'s recorded value; bitwise equality of
+// a serial and a pooled run of either node; a warmed step of either node
+// that never reaches the heap; and rejection of non-finite coordinates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +48,8 @@ const bool kForcePool = [] {
   return true;
 }();
 
-// Latent width 5 makes layer 0's input (3 + 5) ragged on every vector tier.
+// Latent width 5 is ragged on every vector tier: layer 0's latent columns
+// and the latent gradient run masked tails.
 constexpr std::int64_t kC = 5, kOut = 4, kLT = 4, kLZ = 8, kLX = 8;
 
 core::DecoderConfig decoder_config(nn::Activation act,
@@ -73,15 +76,43 @@ class ScopedForceScalar {
   bool prev_;
 };
 
+// The latent grid of a decode and where its queries lie.
+struct Layout {
+  std::int64_t lt = kLT, lz = kLZ, lx = kLX;
+  bool faces = false;  // queries on the grid's faces
+};
+
+// More voxels per sample than 8 corners per query reach at the shapes it
+// runs: layer 0's per-voxel term covers voxels that no query reads.
+constexpr Layout kSparse{6, 12, 12, false};
+// Queries at coordinate 0 and at size - 1 of each axis, where cellof
+// clamps the base corner to size - 2.
+constexpr Layout kFaces{kLT, kLZ, kLX, true};
+
+// (n, lay's channels-first latent) of c channels.
+Tensor make_latent(Rng& rng, std::int64_t n, std::int64_t c,
+                   const Layout& lay = {}) {
+  return Tensor::randn(Shape{n, c, lay.lt, lay.lz, lay.lx}, rng, 0.5f);
+}
+
 // (n, q, 3) coordinates over the grid, including the clamped margins past
-// either end of each axis.
-Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q) {
+// either end of each axis; for kFaces, query i of a sample takes on axis a
+// coordinate 0, size - 1 or an interior one as (i / 3^a) % 3 is 0, 1 or 2,
+// so 27 queries cover every combination.
+Tensor make_coords(Rng& rng, std::int64_t n, std::int64_t q,
+                   const Layout& lay = {}) {
+  const std::int64_t size[3] = {lay.lt, lay.lz, lay.lx};
   Tensor c = Tensor::uninitialized(Shape{n, q, 3});
-  for (std::int64_t b = 0; b < n * q; ++b) {
-    c.data()[b * 3 + 0] = static_cast<float>(rng.uniform(-0.5, kLT - 0.5));
-    c.data()[b * 3 + 1] = static_cast<float>(rng.uniform(-0.5, kLZ - 0.5));
-    c.data()[b * 3 + 2] = static_cast<float>(rng.uniform(-0.5, kLX - 0.5));
-  }
+  for (std::int64_t b = 0; b < n * q; ++b)
+    for (std::int64_t a = 0, m = 1; a < 3; ++a, m *= 3) {
+      const double hi = static_cast<double>(size[a] - 1);
+      const std::int64_t mode = lay.faces ? b % q / m % 3 : 3;
+      c.data()[b * 3 + a] = static_cast<float>(
+          mode == 0   ? 0.0
+          : mode == 1 ? hi
+          : mode == 2 ? rng.uniform(0.0, hi)
+                      : rng.uniform(-0.5, hi + 0.5));
+    }
   return c;
 }
 
@@ -232,13 +263,26 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 
 using Shapes = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
-// One decoder of the sweep: latent channels, outputs, hidden widths, and
-// the (n, q) query shapes it runs.
+// One decoder of the sweep: latent channels, outputs, hidden widths, the
+// (n, q) query shapes it runs and their grid.
 struct JetCase {
   std::int64_t c, out;
   std::vector<std::int64_t> hidden;
   Shapes shapes;
+  Layout layout{};
 };
+
+// The decoders of hidden widths `hidden` on the sparse grid (2 samples of
+// 5 queries against 864 voxels each) and at queries on the grid's faces.
+std::vector<JetCase> layout_cases(
+    const std::vector<std::vector<std::int64_t>>& hidden) {
+  std::vector<JetCase> cases;
+  for (const std::vector<std::int64_t>& h : hidden) {
+    cases.push_back({kC, kOut, h, {{2, 5}}, kSparse});
+    cases.push_back({kC, kOut, h, {{2, 27}}, kFaces});
+  }
+  return cases;
+}
 
 // The sweep of MatchesTapeReference and ValueNodeMatchesTapeReference.
 std::vector<JetCase> jet_cases() {
@@ -249,7 +293,7 @@ std::vector<JetCase> jet_cases() {
   // that cancellation in d/dz alone pushes past 1e-5 (on any summation
   // order); the single-output decoder runs the multi-query shapes.
   const Shapes multi = {{3, 257}, {4, 384}};
-  return {
+  std::vector<JetCase> cases = {
       {kC, kOut, {8}, all},
       {kC, kOut, {16, 16}, all},
       {kC, kOut, {32, 32}, all},
@@ -259,6 +303,9 @@ std::vector<JetCase> jet_cases() {
       {8, kOut, {16}, all},         // the dist-tiny decoder
       {kC, 1, {16, 16}, multi},     // a single output
   };
+  for (const JetCase& jc : layout_cases({{16}, {32, 32}, {400, 16}}))
+    cases.push_back(jc);
+  return cases;
 }
 
 // The queries a ReLU kink may leave unmatched: those with a tape corner
@@ -315,13 +362,15 @@ void expect_matches_tape(const std::vector<JetCase>& cases, Path fused,
                        << ", latent " << jc.c << ", hidden "
                        << jc.hidden.size() << " x "
                        << (jc.hidden.empty() ? 0 : jc.hidden.front())
-                       << ", out " << jc.out << ", n " << n << ", q " << q);
+                       << ", out " << jc.out << ", n " << n << ", q " << q
+                       << ", grid " << jc.layout.lt << "x" << jc.layout.lz
+                       << "x" << jc.layout.lx
+                       << (jc.layout.faces ? " faces" : ""));
           Rng rng(++seed);
           ContinuousDecoder dec(decoder_config(act, jc.hidden, jc.c, jc.out),
                                 rng);
-          ad::Var latent(
-              Tensor::randn(Shape{n, jc.c, kLT, kLZ, kLX}, rng, 0.5f), true);
-          const Tensor coords = make_coords(rng, n, q);
+          ad::Var latent(make_latent(rng, n, jc.c, jc.layout), true);
+          const Tensor coords = make_coords(rng, n, q, jc.layout);
           std::array<Tensor, 6> r = loss_weights(rng, n * q, jc.out);
           if (exempt_relu_kinks && act == nn::Activation::kReLU)
             for (const std::int64_t b :
@@ -359,40 +408,51 @@ TEST(DecodeJet, MatchesTapeReference) {
 
 // decode() records the value pass as one node; its value and every
 // gradient against the tape decoder's, over the bundle's sweep plus a
-// decoder without a hidden layer, whose output layer reads the gathered
-// [rel | latent] rows directly.
+// decoder without a hidden layer, whose output is the blend of layer 0's
+// corner rows.
 TEST(DecodeJet, ValueNodeMatchesTapeReference) {
   std::vector<JetCase> cases = jet_cases();
   cases.push_back({kC, kOut, {}, {{1, 1}, {3, 257}}});
+  for (const JetCase& jc : layout_cases({{}})) cases.push_back(jc);
   expect_matches_tape(cases, Path::kValue, Path::kTapeValue, 200,
                       /*exempt_relu_kinks=*/true);
 }
 
-// Without a hidden layer the decoder is linear in its input: the output
-// layer reads the seeded [rel | latent] jet, and the exact second
-// derivatives are zero, so both sides leave only rounding there.
+// Without a hidden layer the decoder is linear in its input: the members
+// blend layer 0's pre-activation jet, and the exact second derivatives
+// are zero, so both sides leave only rounding there. Also on the sparse
+// grid and at queries on the grid's faces.
 TEST(DecodeJet, LinearDecoderMatchesTapeReference) {
-  for (const bool scalar : {false, true}) {
-    ScopedForceScalar lanes(scalar);
-    Rng rng(11);
-    ContinuousDecoder dec(decoder_config(nn::Activation::kSoftplus, {}), rng);
-    ad::Var latent(Tensor::randn(Shape{3, kC, kLT, kLZ, kLX}, rng, 0.5f),
-                   true);
-    const Tensor coords = make_coords(rng, 3, 257);
-    const std::array<Tensor, 6> r = loss_weights(rng, 3 * 257);
-    const BundleRun got = run_decode(dec, latent, coords, r, Path::kBundle);
-    const BundleRun want =
-        run_decode(dec, latent, coords, r, Path::kTapeBundle);
-    for (std::size_t m = 0; m < 4; ++m)
-      EXPECT_LT(rel_err(got.members[m], want.members[m]), 1e-5)
-          << "member " << m;
-    const double scale = max_abs(want.members[0]);
-    for (std::size_t m = 4; m < 6; ++m)
-      EXPECT_LT(max_abs(got.members[m]), 1e-6 * scale) << "member " << m;
-    for (std::size_t i = 0; i < want.grads.size(); ++i)
-      EXPECT_LT(rel_err(got.grads[i], want.grads[i]), 1e-4)
-          << "gradient " << i;
-  }
+  std::vector<JetCase> inputs = layout_cases({{}});
+  inputs.insert(inputs.begin(), JetCase{kC, kOut, {}, {{3, 257}}});
+  for (const bool scalar : {false, true})
+    for (const JetCase& jc : inputs) {
+      const auto [n, q] = jc.shapes.front();
+      SCOPED_TRACE(::testing::Message()
+                   << (scalar ? "scalar" : "vector") << " lanes, n " << n
+                   << ", q " << q << ", grid " << jc.layout.lt << "x"
+                   << jc.layout.lz << "x" << jc.layout.lx
+                   << (jc.layout.faces ? " faces" : ""));
+      ScopedForceScalar lanes(scalar);
+      Rng rng(11);
+      ContinuousDecoder dec(decoder_config(nn::Activation::kSoftplus, {}),
+                            rng);
+      ad::Var latent(make_latent(rng, n, kC, jc.layout), true);
+      const Tensor coords = make_coords(rng, n, q, jc.layout);
+      const std::array<Tensor, 6> r = loss_weights(rng, n * q);
+      const BundleRun got = run_decode(dec, latent, coords, r, Path::kBundle);
+      const BundleRun want =
+          run_decode(dec, latent, coords, r, Path::kTapeBundle);
+      for (std::size_t m = 0; m < 4; ++m)
+        EXPECT_LT(rel_err(got.members[m], want.members[m]), 1e-5)
+            << "member " << m;
+      const double scale = max_abs(want.members[0]);
+      for (std::size_t m = 4; m < 6; ++m)
+        EXPECT_LT(max_abs(got.members[m]), 1e-6 * scale) << "member " << m;
+      for (std::size_t i = 0; i < want.grads.size(); ++i)
+        EXPECT_LT(rel_err(got.grads[i], want.grads[i]), 1e-4)
+            << "gradient " << i;
+    }
 }
 
 // jet::forward asked for the value alone runs the value pass. It carries
@@ -472,35 +532,41 @@ TEST(DecodeJet, ValueOnlyMatchesBundleValueMember) {
 }
 
 // Under ScopedInlineLoops every parallel_for runs inline, so the run is a
-// 1-thread pool; the pooled run fans its blocks out over the pool. Both
-// nodes, the bundle and the value pass.
+// 1-thread pool; the pooled run fans its blocks and samples out over the
+// pool. Both nodes, the bundle and the value pass, also on the sparse grid
+// and at queries on the grid's faces.
 TEST(DecodeJet, SerialRunIsBitwisePooledRun) {
   ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  std::vector<JetCase> inputs = layout_cases({{32, 32}});
+  inputs.insert(inputs.begin(), JetCase{kC, kOut, {32, 32}, {{4, 384}}});
   for (const Path path : {Path::kBundle, Path::kValue})
     for (nn::Activation act :
-         {nn::Activation::kSoftplus, nn::Activation::kTanh}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (path == Path::kBundle ? "bundle" : "value")
-                   << ", activation " << static_cast<int>(act));
-      Rng rng(7);
-      ContinuousDecoder dec(decoder_config(act, {32, 32}), rng);
-      ad::Var latent(Tensor::randn(Shape{4, kC, kLT, kLZ, kLX}, rng, 0.5f),
-                     true);
-      const Tensor coords = make_coords(rng, 4, 384);
-      const std::array<Tensor, 6> r = loss_weights(rng, 4 * 384);
+         {nn::Activation::kSoftplus, nn::Activation::kTanh})
+      for (const JetCase& jc : inputs) {
+        const auto [n, q] = jc.shapes.front();
+        SCOPED_TRACE(::testing::Message()
+                     << (path == Path::kBundle ? "bundle" : "value")
+                     << ", activation " << static_cast<int>(act) << ", n "
+                     << n << ", q " << q
+                     << (jc.layout.faces ? ", faces" : ""));
+        Rng rng(7);
+        ContinuousDecoder dec(decoder_config(act, jc.hidden), rng);
+        ad::Var latent(make_latent(rng, n, kC, jc.layout), true);
+        const Tensor coords = make_coords(rng, n, q, jc.layout);
+        const std::array<Tensor, 6> r = loss_weights(rng, n * q);
 
-      const BundleRun serial = [&] {
-        ScopedInlineLoops inline_loops;
-        return run_decode(dec, latent, coords, r, path);
-      }();
-      const BundleRun pooled = run_decode(dec, latent, coords, r, path);
-      for (std::size_t m = 0; m < serial.members.size(); ++m)
-        EXPECT_TRUE(bitwise_equal(serial.members[m], pooled.members[m]))
-            << "member " << m;
-      for (std::size_t i = 0; i < serial.grads.size(); ++i)
-        EXPECT_TRUE(bitwise_equal(serial.grads[i], pooled.grads[i]))
-            << "gradient " << i;
-    }
+        const BundleRun serial = [&] {
+          ScopedInlineLoops inline_loops;
+          return run_decode(dec, latent, coords, r, path);
+        }();
+        const BundleRun pooled = run_decode(dec, latent, coords, r, path);
+        for (std::size_t m = 0; m < serial.members.size(); ++m)
+          EXPECT_TRUE(bitwise_equal(serial.members[m], pooled.members[m]))
+              << "member " << m;
+        for (std::size_t i = 0; i < serial.grads.size(); ++i)
+          EXPECT_TRUE(bitwise_equal(serial.grads[i], pooled.grads[i]))
+              << "gradient " << i;
+      }
 }
 
 TEST(DecodeJet, WarmedForwardAndBackwardStayOffTheHeap) {

@@ -7,7 +7,8 @@
 // allgather (survivors that did and did not commit the step must be
 // reconciled), the slow-worker excision + elastic rejoin path, a
 // partition drill (injected recv timeouts), and a late joiner admitted
-// after training already started.
+// after training already started. Also: the launcher's --help and its
+// rejection of unknown and value-less flags.
 //
 // Every scenario runs real processes over real loopback TCP; fault
 // injection reaches the children through MFN_FAILPOINTS (either the
@@ -20,11 +21,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autodiff/variable.h"
@@ -400,6 +403,44 @@ TEST(DistTrain, LateJoinerAdmittedMidTraining) {
   EXPECT_GE(num_field(json, "joins"), 2);
   ASSERT_EQ(vec_field(json, "losses").size(), 120u);
 
+  std::remove(status.c_str());
+}
+
+// Runs `mfn <args>` with stderr folded into stdout: the exit code and the
+// output.
+std::pair<int, std::string> run_cli(const std::string& args) {
+  const std::string cmd = cli_bin() + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int rc = ::pclose(pipe);
+  return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, out};
+}
+
+// --help prints the usage and exits 0; a flag the command does not take
+// and a last flag without a value exit non-zero naming the flag. None of
+// them starts the job, which would write its status file.
+TEST(MfnCli, HelpAndBadFlagsExitBeforeAnyWork) {
+  const std::string status = temp_path("mfn_cli_flags_status.json");
+  std::remove(status.c_str());
+  const std::string job = "dist-train --world 2 --status " + status;
+
+  const auto [help_rc, help] = run_cli(job + " --help");
+  EXPECT_EQ(help_rc, 0) << help;
+  EXPECT_NE(help.find("usage: mfn"), std::string::npos) << help;
+  EXPECT_NE(help.find("dist-train"), std::string::npos) << help;
+
+  const auto [typo_rc, typo] = run_cli(job + " --step 20");
+  EXPECT_NE(typo_rc, 0) << typo;
+  EXPECT_NE(typo.find("--step "), std::string::npos) << typo;
+
+  const auto [bare_rc, bare] = run_cli(job + " --steps");
+  EXPECT_NE(bare_rc, 0) << bare;
+  EXPECT_NE(bare.find("--steps"), std::string::npos) << bare;
+
+  EXPECT_FALSE(file_exists(status)) << "a job ran";
   std::remove(status.c_str());
 }
 

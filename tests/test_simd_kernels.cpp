@@ -11,7 +11,10 @@
 // here is #ifdef'd out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -114,6 +117,110 @@ TEST(SimdActivations, BackwardMatchesScalarRef) {
     EXPECT_LE(max_rel_err(abs_grad(x, gy), want), 0.0f)
         << "abs_grad n=" << n;
   }
+}
+
+// ------------------------------------------------ double-precision oracle --
+// The fused decoder and the tape share one softplus, so the activations
+// are checked against double-precision libm instead of against each other.
+
+// |got - want| in units of the float spacing at want.
+double ulps(float got, double want) {
+  const float w = std::fabs(static_cast<float>(want));
+  const double ulp = static_cast<double>(std::nextafter(w, INFINITY)) - w;
+  return std::fabs(static_cast<double>(got) - want) / ulp;
+}
+
+// f applied to every entry of x in whole vectors (the last one padded).
+template <class F>
+std::vector<float> vector_map(const std::vector<float>& x, F&& f) {
+  const std::size_t w = static_cast<std::size_t>(simd::kWidth);
+  std::vector<float> in(x), out((x.size() + w - 1) / w * w);
+  in.resize(out.size(), 0.0f);
+  for (std::size_t i = 0; i < in.size(); i += w)
+    simd::vstoreu(out.data() + i, f(simd::vloadu(in.data() + i)));
+  out.resize(x.size());
+  return out;
+}
+
+// v_log1p and the scalar fast_log1pf over every 64th float bit pattern in
+// [0, 1], plus 0, the smallest normal and 1: within 2 ulp of log1p.
+TEST(SimdOracle, Log1pWithinTwoUlpOfDouble) {
+  const std::uint32_t one = 0x3F800000u;
+  std::vector<float> u = {0.0f, FLT_MIN, 1.0f};
+  for (std::uint32_t b = 64; b < one; b += 64) {
+    float f;
+    std::memcpy(&f, &b, sizeof(f));
+    u.push_back(f);
+  }
+  const std::vector<float> vec =
+      vector_map(u, [](simd::VF v) { return simd::v_log1p(v); });
+  std::vector<float> ref(u.size());
+  scalar_ref::log1p(u.data(), ref.data(), static_cast<std::int64_t>(u.size()));
+  double worst_vec = 0.0, worst_ref = 0.0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const double want = std::log1p(static_cast<double>(u[i]));
+    worst_vec = std::max(worst_vec, ulps(vec[i], want));
+    worst_ref = std::max(worst_ref, ulps(ref[i], want));
+  }
+  std::printf("log1p on [0, 1], %zu points: v_log1p within %.3g ulp, "
+              "fast_log1pf within %.3g ulp\n",
+              u.size(), worst_vec, worst_ref);
+  EXPECT_LE(worst_vec, 2.0);
+  EXPECT_LE(worst_ref, 2.0);
+  EXPECT_EQ(vec[0], 0.0f);
+  EXPECT_EQ(ref[0], 0.0f);
+}
+
+// softplus and sigmoid, vector and scalar, against double over
+// z in [-100, 100], at +-0 and at v_exp's clamp edges. Below the lower
+// clamp (z < -87.34) exp(-|z|) stays at the smallest normal, so the gate
+// is relative error plus an absolute FLT_MIN.
+TEST(SimdOracle, SoftplusAndSigmoidMatchDouble) {
+  std::vector<float> z = {0.0f, -0.0f, 100.0f, -100.0f};
+  for (const float edge : {87.3365478515625f, 88.3762626647950f})
+    for (const float s : {1.0f, -1.0f}) {
+      const float e = s * edge;
+      z.push_back(e);
+      z.push_back(std::nextafter(e, INFINITY));
+      z.push_back(std::nextafter(e, -INFINITY));
+    }
+  const int steps = 1 << 20;
+  for (int i = 0; i <= steps; ++i)
+    z.push_back(static_cast<float>(-100.0 + 200.0 * i / steps));
+  const std::int64_t n = static_cast<std::int64_t>(z.size());
+  std::vector<float> sp_ref(z.size()), sg_ref(z.size());
+  scalar_ref::softplus(z.data(), sp_ref.data(), n);
+  scalar_ref::sigmoid(z.data(), sg_ref.data(), n);
+  const std::vector<float> sp_vec =
+      vector_map(z, [](simd::VF v) { return simd::v_softplus(v); });
+  const std::vector<float> sg_vec =
+      vector_map(z, [](simd::VF v) { return simd::v_sigmoid(v); });
+  double worst[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double x = z[i];
+    const double sp = std::max(x, 0.0) + std::log1p(std::exp(-std::fabs(x)));
+    const double sg = 1.0 / (1.0 + std::exp(-x));
+    const float got[4] = {sp_vec[i], sp_ref[i], sg_vec[i], sg_ref[i]};
+    for (int k = 0; k < 4; ++k) {
+      const double want = k < 2 ? sp : sg;
+      const double err = std::fabs(got[k] - want) - FLT_MIN;
+      worst[k] = std::max(worst[k], std::max(err, 0.0) / want);
+    }
+  }
+  std::printf("relative error on [-100, 100]: softplus vector %.3g, scalar "
+              "%.3g; sigmoid vector %.3g, scalar %.3g\n",
+              worst[0], worst[1], worst[2], worst[3]);
+  for (const double w : worst) EXPECT_LE(w, 1e-5);
+  const std::vector<float> nan = {std::nanf("")};
+  std::vector<float> out(1);
+  scalar_ref::softplus(nan.data(), out.data(), 1);
+  EXPECT_TRUE(std::isnan(out[0]));
+  scalar_ref::sigmoid(nan.data(), out.data(), 1);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_TRUE(std::isnan(
+      vector_map(nan, [](simd::VF v) { return simd::v_softplus(v); })[0]));
+  EXPECT_TRUE(std::isnan(
+      vector_map(nan, [](simd::VF v) { return simd::v_sigmoid(v); })[0]));
 }
 
 TEST(SimdActivations, InplaceMatchesOutOfPlace) {

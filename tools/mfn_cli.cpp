@@ -61,7 +61,10 @@
 // state (weights + Adam moments + history) round-trips through --out /
 // --resume checkpoints. Any command accepts `--verbose 1` to print the
 // backend memory report (caching-allocator hit rates, workspace arena
-// high-water marks) after it finishes. MFN_FAILPOINTS is parsed at
+// high-water marks) after it finishes. `mfn --help` (or --help after any
+// command) prints every command's flags and exits 0; a flag the command
+// does not take, or a last flag without a value, exits 1 naming the flag
+// before any work starts. MFN_FAILPOINTS is parsed at
 // startup for every command (failpoint::arm_from_env), so spawned
 // subprocesses can be fault-injected without code changes.
 #include <netinet/in.h>
@@ -74,6 +77,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,13 +101,51 @@ namespace {
 
 using namespace mfn;
 
+// The flags each command takes, besides --verbose.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  static const std::map<std::string, std::set<std::string>> flags = {
+      {"simulate",
+       {"out", "ra", "pr", "nx", "nz", "seed", "spinup", "duration",
+        "frames"}},
+      {"info", {"data"}},
+      {"train",
+       {"data", "dt", "ds", "out", "gamma", "epochs", "batches", "lr",
+        "batch", "queries", "ra", "pr", "seed", "resume"}},
+      {"eval", {"data", "model", "dt", "ds", "batch", "queries", "ra", "pr"}},
+      {"superres", {"data", "model", "out", "dt", "ds", "nt", "nz", "nx"}},
+      {"train-worker",
+       {"rank", "world", "addr", "port", "steps", "batch", "lr", "seed",
+        "heartbeat-ms", "io-ms", "join-ms", "ckpt", "ckpt-every", "status",
+        "rejoin", "min-world"}},
+      {"dist-train",
+       {"world", "steps", "port", "batch", "lr", "seed", "heartbeat-ms",
+        "io-ms", "join-ms", "ckpt", "ckpt-every", "status", "rejoin",
+        "min-world", "inject-rank", "inject", "delay-rank", "delay-ms"}},
+      {"serve-bench",
+       {"model", "clients", "requests", "queries", "patches", "cache-mb",
+        "max-batch", "max-wait-us", "workers", "seed", "precision",
+        "open-loop", "arrival-rps", "total-requests", "deadline-ms",
+        "policy", "max-queue", "brownout", "brownout-high-rows",
+        "brownout-low-rows", "brownout-dwell", "inject", "tenants",
+        "zipf"}},
+  };
+  return flags;
+}
+
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      MFN_CHECK(argv[i][0] == '-' && argv[i][1] == '-',
-                "expected --flag, got " << argv[i]);
-      kv_[argv[i] + 2] = argv[i + 1];
+  // argv[first..] as --flag value pairs. A flag outside `known` and
+  // --verbose, or a last flag without a value, throws naming the flag.
+  Args(int argc, char** argv, int first, const std::set<std::string>& known) {
+    for (int i = first; i < argc; i += 2) {
+      const std::string flag = argv[i];
+      MFN_CHECK(flag.size() > 2 && flag.compare(0, 2, "--") == 0,
+                "expected --flag, got " << flag);
+      const std::string key = flag.substr(2);
+      MFN_CHECK(known.count(key) != 0 || key == "verbose",
+                "unknown flag " << flag << " (mfn --help lists the flags)");
+      MFN_CHECK(i + 1 < argc, "flag " << flag << " has no value");
+      kv_[key] = argv[i + 1];
     }
   }
   std::string str(const std::string& key, const std::string& dflt = "") const {
@@ -816,22 +858,30 @@ int cmd_dist_train(const Args& args, const char* self) {
   return 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfn <simulate|info|train|eval|superres|serve-bench"
-               "|train-worker|dist-train> "
-               "[--flag value]... [--verbose 1]\n(see the header of "
-               "tools/mfn_cli.cpp)\n"
+// Prints the commands and their flags to `out` and returns rc.
+int usage(std::FILE* out, int rc) {
+  std::fprintf(out,
+               "usage: mfn <command> [--flag value]... [--verbose 1]\n"
+               "(see the header of tools/mfn_cli.cpp)\n");
+  for (const auto& [cmd, flags] : command_flags()) {
+    std::fprintf(out, "  %s", cmd.c_str());
+    for (const std::string& f : flags) std::fprintf(out, " --%s", f.c_str());
+    std::fprintf(out, "\n");
+  }
+  std::fprintf(out,
                "simd: %s tier, vector width %d "
                "(MFN_FORCE_SCALAR=1 pins the scalar reference paths)\n",
                simd::active_tier(), simd::kWidth);
-  return 2;
+  return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--help") == 0) return usage(stdout, 0);
+  if (argc < 2 || command_flags().count(argv[1]) == 0)
+    return usage(stderr, 2);
   const std::string cmd = argv[1];
   // Every perf figure a run logs (train/eval throughput) is attributable
   // to the ISA it actually executed on.
@@ -845,7 +895,7 @@ int main(int argc, char** argv) {
     if (armed > 0)
       std::printf("mfn: %d fail point(s) armed from MFN_FAILPOINTS\n",
                   armed);
-    Args args(argc, argv, 2);
+    const Args args(argc, argv, 2, command_flags().at(cmd));
     const bool verbose = args.integer("verbose", 0) != 0;
     int rc = 2;
     if (cmd == "simulate") rc = cmd_simulate(args);
@@ -856,7 +906,6 @@ int main(int argc, char** argv) {
     else if (cmd == "serve-bench") rc = cmd_serve_bench(args);
     else if (cmd == "train-worker") rc = cmd_train_worker(args);
     else if (cmd == "dist-train") rc = cmd_dist_train(args, argv[0]);
-    else return usage();
     if (verbose) print_backend_stats();
     return rc;
   } catch (const std::exception& e) {

@@ -65,7 +65,10 @@ ID_FIELDS = ("mfn_perf", "op", "batch", "channels", "queries", "m", "n",
              "gamma",
              # conv3d_bwd: one series per conv shape of the U-Net. Absent
              # on every other line, so their identity is unchanged.
-             "filters", "kernel", "volume")
+             "filters", "kernel", "volume",
+             # decode_bwd: one series per decoder (small_default,
+             # dist_tiny) and shape; absent on every other line.
+             "decoder")
 
 
 def load(path):
